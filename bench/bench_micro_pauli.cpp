@@ -1,10 +1,13 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot substrate operations:
- * Pauli string products, Hamiltonian mapping, and HATT construction.
- * Also emits BENCH_micro_pauli.json (fixed-repetition wall times for the
- * headline kernels) so the perf trajectory is tracked across PRs.
+ * Pauli string products, Majorana preprocessing, Hamiltonian mapping,
+ * and HATT construction. Also emits BENCH_micro_pauli.json
+ * (fixed-repetition wall times for the headline kernels) so the perf
+ * trajectory is tracked across PRs.
  */
+
+#include <algorithm>
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +17,7 @@
 #include "common/trace.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
+#include "io/stream.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
 #include "mapping/search.hpp"
@@ -95,6 +99,26 @@ BM_HattBuild(benchmark::State &state)
 }
 BENCHMARK(BM_HattBuild)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
+/**
+ * A molecule-shaped two-body stream: every a†_p a†_q a_r a_s with p < q
+ * and r < s over @p modes spin orbitals, seeded coefficients.
+ */
+std::vector<FermionTerm>
+moleculeShapedTerms(uint32_t modes, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<FermionTerm> terms;
+    for (uint32_t p = 0; p < modes; ++p)
+        for (uint32_t q = p + 1; q < modes; ++q)
+            for (uint32_t r = 0; r < modes; ++r)
+                for (uint32_t s = r + 1; s < modes; ++s)
+                    terms.push_back(FermionTerm{
+                        cplx{rng.nextDouble() - 0.5, 0.0},
+                        {create(p), create(q), annihilate(r),
+                         annihilate(s)}});
+    return terms;
+}
+
 /** Fixed-workload wall times for the JSON perf log. */
 void
 writeJsonLog()
@@ -130,6 +154,29 @@ writeJsonLog()
         benchmark::DoNotOptimize(sink2);
         json.add("pauli_multiply_64q_span_x" + std::to_string(reps),
                  t2.seconds());
+    }
+
+    {
+        // The production preprocessing path (io::compileInput): the
+        // sharded streaming preprocessor, best of 3. The monomial count
+        // is the determinism witness.
+        constexpr uint32_t modes = 24;
+        const std::vector<FermionTerm> terms = moleculeShapedTerms(modes, 7);
+        double best = 0.0;
+        size_t monomials = 0;
+        for (int rep = 0; rep < 3; ++rep) {
+            std::vector<FermionTerm> feed = terms;
+            Timer t;
+            io::ShardedMajoranaPreprocessor pre;
+            for (FermionTerm &term : feed)
+                pre.add(std::move(term));
+            pre.ensureModes(modes);
+            monomials = pre.finish().size();
+            const double s = t.seconds();
+            best = rep == 0 ? s : std::min(best, s);
+        }
+        json.add("majorana_preprocess_mol" + std::to_string(modes), best,
+                 std::nullopt, monomials);
     }
 
     for (uint32_t n : {64u, 128u}) {

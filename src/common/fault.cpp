@@ -1,5 +1,6 @@
 #include "common/fault.hpp"
 
+#include "common/hash.hpp"
 #include "common/metrics.hpp"
 
 #include <atomic>
@@ -11,15 +12,6 @@
 namespace hatt::fault {
 
 namespace {
-
-uint64_t
-splitmix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 uint64_t
 hashString(const std::string &s)

@@ -22,6 +22,13 @@
 
 namespace hatt {
 
+/**
+ * Longest ladder product preprocessing accepts: a k-operator term
+ * expands into 2^k Majorana monomials, so longer terms are rejected
+ * with std::invalid_argument.
+ */
+constexpr size_t kMaxLadderOps = 30;
+
 /** A coefficient times a product of distinct Majorana operators. */
 struct MajoranaTerm
 {
@@ -50,7 +57,8 @@ class MajoranaPolynomial
      * Preprocess a fermionic Hamiltonian (the paper's `preprocess(HF)`).
      * Expands every ladder product into Majorana monomials, canonicalizes
      * and combines. The identity monomial (constant energy shift) is kept
-     * as a term with empty indices.
+     * as a term with empty indices. Throws std::invalid_argument for a
+     * term with more than kMaxLadderOps ladder operators.
      */
     static MajoranaPolynomial fromFermion(const FermionHamiltonian &hf);
 

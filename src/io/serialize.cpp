@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "mapping/hatt_counts.hpp" // detail::splitmix64
+#include "common/hash.hpp"
 
 namespace hatt::io {
 
@@ -275,8 +275,8 @@ majoranaContentHash(const MajoranaPolynomial &poly)
                   return a->indices < b->indices;
               });
 
-    uint64_t h = detail::splitmix64(0x48415454ull ^ poly.numModes());
-    auto mix = [&](uint64_t v) { h = detail::splitmix64(h ^ v); };
+    uint64_t h = splitmix64(0x48415454ull ^ poly.numModes());
+    auto mix = [&](uint64_t v) { h = splitmix64(h ^ v); };
     for (const MajoranaTerm *t : order) {
         mix(t->indices.size());
         for (uint32_t i : t->indices)

@@ -10,9 +10,32 @@
  * Memory is O(distinct Majorana monomials) — the input fermion term list
  * is never materialized, so Hubbard-scale Hamiltonians (>= 10^5 hopping /
  * interaction terms) stream straight into the preprocessed form that
- * buildHattMapping consumes. Monomial order matches
- * MajoranaPolynomial::fromFermion exactly (first-seen order, identical
- * expansion), so downstream results are bit-identical to the batch path.
+ * buildHattMapping consumes.
+ *
+ * The kernel is allocation-free per contribution for terms of up to four
+ * ladder operators (every molecular and Hubbard term):
+ *
+ *  - Packed keys. A canonical monomial of at most four indices, each
+ *    below 32767, is one uint64_t: index j's `index + 1` sits in the
+ *    15-bit field at bit 15*j (unused fields are 0), and bit 60 is a tag,
+ *    so even the identity monomial has a non-zero key. Expansion and the
+ *    insertion-sort sign run on a fixed uint32_t[4].
+ *  - Wide keys. Any other monomial (more than four canonical indices, or
+ *    an index >= 32767) is interned through a side map into the same key
+ *    space: bit 63 set, the intern id below. Wide and packed monomials
+ *    therefore share one table, one first-seen order and one fold path.
+ *  - Flat table. An open-addressing table maps each key to its slot in
+ *    the flat first-seen keys_/coeffs_ arrays; shard logs are the same
+ *    two arrays holding raw (key, coeff) contributions.
+ *
+ * Bit-identity with MajoranaPolynomial::fromFermion (the vector-keyed
+ * reference): every contribution's coefficient is built by the same
+ * multiply sequence (term coeff, then x0.5 and the +-i phase per ladder
+ * operator, then the canonicalization sign), and each monomial's
+ * coefficient is folded one contribution at a time in stream order —
+ * shard logs are replayed, never pre-summed. Monomials are emitted in
+ * first-seen order, so the finished polynomial, its content hash and
+ * everything downstream are bit-identical for every HATT_THREADS value.
  */
 
 #include <cstdint>
@@ -20,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "fermion/fermion_op.hpp"
 #include "fermion/majorana.hpp"
 
@@ -58,7 +82,10 @@ class StreamingMajoranaAccumulator
      */
     static StreamingMajoranaAccumulator shard(uint32_t num_modes = 0);
 
-    /** Expand one fermionic term and merge its monomials in place. */
+    /**
+     * Expand one fermionic term and merge its monomials in place.
+     * Throws std::invalid_argument for more than kMaxLadderOps operators.
+     */
     void add(const FermionTerm &term);
 
     /**
@@ -81,9 +108,9 @@ class StreamingMajoranaAccumulator
      * Number of distinct (pre-tolerance) monomials held — the only
      * state that grows, and the streaming memory witness: bounded by
      * the distinct-monomial count of the Hamiltonian, not by the
-     * number of input terms consumed.
+     * number of input terms consumed. (A shard reports its log length.)
      */
-    size_t currentMonomials() const { return order_.size(); }
+    size_t currentMonomials() const { return keys_.size(); }
 
     /**
      * Finish: drop |coeff| < tol monomials and return the polynomial.
@@ -92,30 +119,43 @@ class StreamingMajoranaAccumulator
     MajoranaPolynomial finish(double tol = kCoeffTol);
 
   private:
-    /** The one combine step: log-append (shards) or hash-fold (default). */
-    void fold(cplx coeff, std::vector<uint32_t> &&canon);
-
-    struct IndexVecHash
+    struct TableEntry
     {
-        size_t
-        operator()(const std::vector<uint32_t> &v) const
-        {
-            uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-            for (uint32_t x : v) {
-                h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-                h *= 0xff51afd7ed558ccdULL;
-            }
-            return static_cast<size_t>(h);
-        }
+        uint64_t key = 0; //!< 0 = empty (no monomial key is 0)
+        uint32_t slot = 0; //!< index into keys_/coeffs_
     };
+
+    /** Key of a canonical monomial: packed, or interned if wide. */
+    uint64_t keyOf(const uint32_t *canon, size_t n);
+
+    /** Key of a wide canonical monomial, interning it if new. */
+    uint64_t internWide(const uint32_t *canon, size_t n);
+
+    /** The one combine step: log-append (shards) or table-fold. */
+    void fold(uint64_t key, cplx coeff);
+
+    /** Double the table (or create it) and reinsert every slot. */
+    void growTable();
+
+    /** The ascending index list of @p key (consumes a wide entry). */
+    std::vector<uint32_t> unpack(uint64_t key);
+
+    /** Drop all state; keeps the shard/combining mode. */
+    void reset();
 
     uint32_t num_modes_ = 0;
     size_t terms_consumed_ = 0;
-    bool dedup_ = true; //!< false in shard mode: order_ is a raw log
+    bool dedup_ = true; //!< false in shard mode: keys_/coeffs_ are a log
 
-    /** Monomial -> slot in order_; coefficients accumulate in place. */
-    std::unordered_map<std::vector<uint32_t>, size_t, IndexVecHash> index_;
-    std::vector<MajoranaTerm> order_; //!< first-seen order, as compress()
+    std::vector<uint64_t> keys_; //!< first-seen order, as compress()
+    std::vector<cplx> coeffs_;   //!< coefficient of keys_[i]
+    std::vector<TableEntry> table_; //!< open addressing, power-of-2 size
+
+    /** Interned wide monomials, indexed by the id in their key. */
+    std::vector<std::vector<uint32_t>> wide_;
+    std::unordered_map<std::vector<uint32_t>, uint64_t, IndexVecHash>
+        wide_ids_;
+    std::vector<uint32_t> wide_probe_; //!< reused wide_ids_ lookup key
 };
 
 /**

@@ -35,17 +35,9 @@
 #include <utility>
 #include <vector>
 
-namespace hatt::detail {
+#include "common/hash.hpp"
 
-/** splitmix64 finalizer; the mask hash chains it across words. */
-inline uint64_t
-splitmix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
+namespace hatt::detail {
 
 /** Term multiset over packed supports with incremental counts. */
 class TermCounts

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
@@ -330,16 +331,6 @@ registerBuiltinMappers(MapperRegistry &reg)
     device::registerDeviceMappers(reg); // bonsai + treespilation
 }
 
-/** splitmix64 finalizer: decorrelates the folded option-bag hash. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** FNV-1a over a string (the same idiom io uses for content hashing). */
 uint64_t
 fnv1a(const std::string &s)
@@ -364,7 +355,8 @@ effectiveContentHash(const MappingRequest &req)
 {
     uint64_t h = *req.contentHash;
     for (const auto &[key, value] : req.options) // std::map: sorted order
-        h = mix64(h ^ mix64(fnv1a(key)) ^ (fnv1a(value) * 0x100000001b3ULL));
+        h = splitmix64(h ^ splitmix64(fnv1a(key)) ^
+                       (fnv1a(value) * 0x100000001b3ULL));
     return h;
 }
 

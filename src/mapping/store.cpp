@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "common/hash.hpp"
 #include "common/metrics.hpp"
 
 namespace hatt {
@@ -15,11 +16,8 @@ namespace {
 size_t
 shardIndex(uint64_t content_hash, const std::string &kind, size_t shards)
 {
-    uint64_t x = content_hash ^ std::hash<std::string>{}(kind);
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
+    const uint64_t x =
+        splitmix64(content_hash ^ std::hash<std::string>{}(kind));
     return static_cast<size_t>(x % shards);
 }
 

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "fermion/fermion_op.hpp"
 #include "fermion/fock.hpp"
 #include "fermion/majorana.hpp"
+#include "io/stream.hpp"
 
 namespace hatt {
 namespace {
@@ -110,6 +113,39 @@ TEST(Majorana, HermitianConjugatePairsGiveRealPolynomial)
     hf.addWithConjugate(cplx{0.25, 0.5}, {create(0), annihilate(1)});
     FockSpace fock(2);
     EXPECT_TRUE(fock.toMatrix(hf).isHermitian());
+}
+
+TEST(Majorana, OverlongLadderProductThrowsLikeTheStreamingPath)
+{
+    // A 31-operator term would expand into 2^31 monomials. The batch
+    // reference must refuse it exactly as the streaming preprocessor
+    // does, not silently drop the term and return a wrong polynomial.
+    FermionHamiltonian hf(31);
+    hf.add(1.0, {create(0)});
+    std::vector<FermionOp> ops;
+    for (uint32_t m = 0; m < 31; ++m)
+        ops.push_back(create(m));
+    hf.add(0.5, ops);
+
+    std::string batch_error, stream_error;
+    try {
+        MajoranaPolynomial::fromFermion(hf);
+    } catch (const std::invalid_argument &e) {
+        batch_error = e.what();
+    }
+    try {
+        io::StreamingMajoranaAccumulator acc;
+        for (const FermionTerm &t : hf.terms())
+            acc.add(t);
+    } catch (const std::invalid_argument &e) {
+        stream_error = e.what();
+    }
+    EXPECT_NE(batch_error.find("term with > 30 ladder operators"),
+              std::string::npos)
+        << batch_error;
+    EXPECT_NE(stream_error.find("term with > 30 ladder operators"),
+              std::string::npos)
+        << stream_error;
 }
 
 TEST(Fock, LadderOperatorSigns)

@@ -36,6 +36,7 @@
 #include "mapping/jordan_wigner.hpp"
 #include "models/chains.hpp"
 #include "models/hubbard.hpp"
+#include "preprocess_streams.hpp"
 
 namespace hatt {
 namespace {
@@ -521,22 +522,26 @@ TEST(Locale, NumberIoSurvivesCommaDecimalLocale)
 
 TEST(Stream, MatchesBatchPreprocessingBitExactly)
 {
-    FermionHamiltonian hf = hubbardModel({2, 3, 1.0, 4.0});
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
+    // The 2x3 Hubbard model, and the mixed-key stream whose packed and
+    // wide monomial keys interleave (tests/preprocess_streams.hpp).
+    for (const FermionHamiltonian &hf :
+         {hubbardModel({2, 3, 1.0, 4.0}), test::mixedKeyHamiltonian()}) {
+        MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
 
-    io::StreamingMajoranaAccumulator acc(hf.numModes());
-    for (const FermionTerm &t : hf.terms())
-        acc.add(t);
-    MajoranaPolynomial streamed = acc.finish();
+        io::StreamingMajoranaAccumulator acc(hf.numModes());
+        for (const FermionTerm &t : hf.terms())
+            acc.add(t);
+        MajoranaPolynomial streamed = acc.finish();
 
-    ASSERT_EQ(streamed.numModes(), batch.numModes());
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(streamed.terms()[i].indices, batch.terms()[i].indices);
-        EXPECT_EQ(streamed.terms()[i].coeff, batch.terms()[i].coeff);
+        ASSERT_EQ(streamed.numModes(), batch.numModes());
+        ASSERT_EQ(streamed.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_EQ(streamed.terms()[i].indices, batch.terms()[i].indices);
+            EXPECT_EQ(streamed.terms()[i].coeff, batch.terms()[i].coeff);
+        }
+        EXPECT_EQ(io::majoranaContentHash(streamed),
+                  io::majoranaContentHash(batch));
     }
-    EXPECT_EQ(io::majoranaContentHash(streamed),
-              io::majoranaContentHash(batch));
 }
 
 TEST(Stream, HundredThousandTermHubbardStreamsWithoutTermList)
@@ -626,45 +631,48 @@ expectBitIdentical(const MajoranaPolynomial &got,
                   0)
             << "term " << i;
     }
+    EXPECT_EQ(io::majoranaContentHash(got), io::majoranaContentHash(want));
 }
 
 TEST(Stream, ShardMergeBitIdenticalUnderAdversarialSplits)
 {
-    FermionHamiltonian hf = nonDyadicHamiltonian();
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
-    const size_t n = hf.size();
+    for (const FermionHamiltonian &hf :
+         {nonDyadicHamiltonian(), test::mixedKeyHamiltonian()}) {
+        MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
+        const size_t n = hf.size();
 
-    // Split points partition the term stream into contiguous shards:
-    // all-in-one-shard, empty shards at the front/middle/back, every
-    // term its own shard, and unbalanced splits.
-    std::vector<std::vector<size_t>> splits = {
-        {},                 // single shard holds everything
-        {0},                // empty first shard
-        {n},                // empty last shard
-        {n / 2, n / 2},     // empty middle shard
-        {1},                // single-term first shard
-        {n - 1},            // single-term last shard
-        {1, 2, n / 2},      // unbalanced
-    };
-    std::vector<size_t> each; // every term its own shard
-    for (size_t i = 1; i < n; ++i)
-        each.push_back(i);
-    splits.push_back(each);
+        // Split points partition the term stream into contiguous shards:
+        // all-in-one-shard, empty shards at the front/middle/back, every
+        // term its own shard, and unbalanced splits.
+        std::vector<std::vector<size_t>> splits = {
+            {},                 // single shard holds everything
+            {0},                // empty first shard
+            {n},                // empty last shard
+            {n / 2, n / 2},     // empty middle shard
+            {1},                // single-term first shard
+            {n - 1},            // single-term last shard
+            {1, 2, n / 2},      // unbalanced
+        };
+        std::vector<size_t> each; // every term its own shard
+        for (size_t i = 1; i < n; ++i)
+            each.push_back(i);
+        splits.push_back(each);
 
-    for (const std::vector<size_t> &split : splits) {
-        std::vector<size_t> bounds = {0};
-        bounds.insert(bounds.end(), split.begin(), split.end());
-        bounds.push_back(n);
+        for (const std::vector<size_t> &split : splits) {
+            std::vector<size_t> bounds = {0};
+            bounds.insert(bounds.end(), split.begin(), split.end());
+            bounds.push_back(n);
 
-        io::StreamingMajoranaAccumulator combined(hf.numModes());
-        for (size_t s = 0; s + 1 < bounds.size(); ++s) {
-            io::StreamingMajoranaAccumulator shard =
-                io::StreamingMajoranaAccumulator::shard();
-            for (size_t t = bounds[s]; t < bounds[s + 1]; ++t)
-                shard.add(hf.terms()[t]);
-            combined.merge(std::move(shard));
+            io::StreamingMajoranaAccumulator combined(hf.numModes());
+            for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+                io::StreamingMajoranaAccumulator shard =
+                    io::StreamingMajoranaAccumulator::shard();
+                for (size_t t = bounds[s]; t < bounds[s + 1]; ++t)
+                    shard.add(hf.terms()[t]);
+                combined.merge(std::move(shard));
+            }
+            expectBitIdentical(combined.finish(), batch);
         }
-        expectBitIdentical(combined.finish(), batch);
     }
 }
 
@@ -672,25 +680,27 @@ TEST(Stream, ShardsConcatenateBeforeCombiningExactly)
 {
     // Chained shard-into-shard merges (the reduce tree of the parallel
     // preprocessor) followed by one combine must equal the serial path.
-    FermionHamiltonian hf = nonDyadicHamiltonian();
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
+    for (const FermionHamiltonian &hf :
+         {nonDyadicHamiltonian(), test::mixedKeyHamiltonian()}) {
+        MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
 
-    io::StreamingMajoranaAccumulator log =
-        io::StreamingMajoranaAccumulator::shard();
-    const size_t third = hf.size() / 3;
-    for (size_t s = 0; s < 3; ++s) {
-        io::StreamingMajoranaAccumulator shard =
+        io::StreamingMajoranaAccumulator log =
             io::StreamingMajoranaAccumulator::shard();
-        const size_t hi = s == 2 ? hf.size() : (s + 1) * third;
-        for (size_t t = s * third; t < hi; ++t)
-            shard.add(hf.terms()[t]);
-        log.merge(std::move(shard)); // shard-mode merge = concatenation
-    }
-    EXPECT_EQ(log.termsConsumed(), hf.size());
+        const size_t third = hf.size() / 3;
+        for (size_t s = 0; s < 3; ++s) {
+            io::StreamingMajoranaAccumulator shard =
+                io::StreamingMajoranaAccumulator::shard();
+            const size_t hi = s == 2 ? hf.size() : (s + 1) * third;
+            for (size_t t = s * third; t < hi; ++t)
+                shard.add(hf.terms()[t]);
+            log.merge(std::move(shard)); // shard-mode merge = concatenation
+        }
+        EXPECT_EQ(log.termsConsumed(), hf.size());
 
-    // finish() on a shard combines through a fresh accumulator, so even
-    // the log-only path finishes to the canonical polynomial.
-    expectBitIdentical(log.finish(), batch);
+        // finish() on a shard combines through a fresh accumulator, so
+        // even the log-only path finishes to the canonical polynomial.
+        expectBitIdentical(log.finish(), batch);
+    }
 }
 
 TEST(Stream, ShardedPreprocessorMatchesSerialOnHubbardStream)
@@ -710,6 +720,15 @@ TEST(Stream, ShardedPreprocessorMatchesSerialOnHubbardStream)
     pre.ensureModes(hubbardNumModes(params));
     EXPECT_EQ(pre.termsConsumed(), hubbardModel(params).size());
     expectBitIdentical(pre.finish(), batch);
+
+    // The mixed-key stream through the same tiny blocks: wide keys are
+    // interned per shard and re-interned on merge.
+    FermionHamiltonian mixed = test::mixedKeyHamiltonian();
+    for (const FermionTerm &t : mixed.terms())
+        pre.add(FermionTerm(t));
+    pre.ensureModes(mixed.numModes());
+    EXPECT_EQ(pre.termsConsumed(), mixed.size());
+    expectBitIdentical(pre.finish(), MajoranaPolynomial::fromFermion(mixed));
 }
 
 // ----------------------------------------------------------- serializers

@@ -18,11 +18,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <utility>
 
 #include "common/parallel.hpp"
+#include "io/serialize.hpp"
 #include "io/stream.hpp"
 #include "common/rng.hpp"
 #include "ham/qubit_hamiltonian.hpp"
@@ -35,6 +37,7 @@
 #include "mapping/search.hpp"
 #include "models/chains.hpp"
 #include "models/hubbard.hpp"
+#include "preprocess_streams.hpp"
 
 namespace hatt {
 namespace {
@@ -579,37 +582,58 @@ TEST(PerfParity, ShardedPreprocessingBitIdenticalAcrossThreadsAndToBatch)
 {
     // Sharded Majorana preprocessing (per-block shard accumulators whose
     // logs merge in block order) must reproduce the serial
-    // MajoranaPolynomial::fromFermion bits — term order, indices, and
-    // coefficient bit patterns — for every thread count. Tiny block and
-    // flush sizes force many shards and multiple flush rounds on the
-    // 2x2 Hubbard stream (20 fermionic terms).
+    // MajoranaPolynomial::fromFermion bits — term order, indices,
+    // coefficient bit patterns and content hash — for every thread
+    // count. Tiny block and flush sizes force many shards and multiple
+    // flush rounds on the 2x2 Hubbard stream (20 fermionic terms) and on
+    // the mixed-key stream, whose packed and wide monomial keys
+    // interleave (tests/preprocess_streams.hpp).
     HubbardParams params{2, 2, 1.0, 4.0};
-    MajoranaPolynomial batch =
-        MajoranaPolynomial::fromFermion(hubbardModel(params));
+    const FermionHamiltonian mixed = test::mixedKeyHamiltonian();
+    using Feed = std::function<void(io::ShardedMajoranaPreprocessor &)>;
+    const std::pair<FermionHamiltonian, Feed> inputs[] = {
+        {hubbardModel(params),
+         [&](io::ShardedMajoranaPreprocessor &pre) {
+             streamHubbardTerms(params, [&](FermionTerm &&t) {
+                 pre.add(std::move(t));
+             });
+             pre.ensureModes(hubbardNumModes(params));
+         }},
+        {mixed,
+         [&](io::ShardedMajoranaPreprocessor &pre) {
+             for (const FermionTerm &t : mixed.terms())
+                 pre.add(FermionTerm(t));
+             pre.ensureModes(mixed.numModes());
+         }},
+    };
 
-    for (unsigned threads : {1u, 2u, 8u}) {
-        setParallelThreads(threads);
-        for (auto [block, flush] :
-             {std::pair<size_t, size_t>{1, 4}, {3, 7}, {256, 8192}}) {
-            io::ShardedMajoranaPreprocessor pre(0, block, flush);
-            streamHubbardTerms(
-                params, [&](FermionTerm &&t) { pre.add(std::move(t)); });
-            pre.ensureModes(hubbardNumModes(params));
-            MajoranaPolynomial sharded = pre.finish();
+    for (const auto &[hf, feed] : inputs) {
+        const MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
+        const uint64_t batch_hash = io::majoranaContentHash(batch);
+        for (unsigned threads : {1u, 2u, 8u}) {
+            setParallelThreads(threads);
+            for (auto [block, flush] :
+                 {std::pair<size_t, size_t>{1, 4}, {3, 7}, {256, 8192}}) {
+                io::ShardedMajoranaPreprocessor pre(0, block, flush);
+                feed(pre);
+                MajoranaPolynomial sharded = pre.finish();
 
-            ASSERT_EQ(sharded.numModes(), batch.numModes());
-            ASSERT_EQ(sharded.size(), batch.size())
-                << "threads=" << threads << " block=" << block;
-            for (size_t i = 0; i < batch.size(); ++i) {
-                ASSERT_EQ(sharded.terms()[i].indices,
-                          batch.terms()[i].indices)
-                    << "threads=" << threads << " term " << i;
-                ASSERT_EQ(std::memcmp(&sharded.terms()[i].coeff,
-                                      &batch.terms()[i].coeff,
-                                      sizeof(cplx)),
-                          0)
-                    << "threads=" << threads << " block=" << block
-                    << " term " << i;
+                ASSERT_EQ(sharded.numModes(), batch.numModes());
+                ASSERT_EQ(sharded.size(), batch.size())
+                    << "threads=" << threads << " block=" << block;
+                for (size_t i = 0; i < batch.size(); ++i) {
+                    ASSERT_EQ(sharded.terms()[i].indices,
+                              batch.terms()[i].indices)
+                        << "threads=" << threads << " term " << i;
+                    ASSERT_EQ(std::memcmp(&sharded.terms()[i].coeff,
+                                          &batch.terms()[i].coeff,
+                                          sizeof(cplx)),
+                              0)
+                        << "threads=" << threads << " block=" << block
+                        << " term " << i;
+                }
+                EXPECT_EQ(io::majoranaContentHash(sharded), batch_hash)
+                    << "threads=" << threads << " block=" << block;
             }
         }
     }
