@@ -2,12 +2,15 @@
  * @file
  * Google-benchmark microbenchmarks of the hot substrate operations:
  * Pauli string products, Majorana preprocessing, Hamiltonian mapping,
- * and HATT construction. Also emits BENCH_micro_pauli.json
- * (fixed-repetition wall times for the headline kernels) so the perf
- * trajectory is tracked across PRs.
+ * HATT construction and artifact emission. Also emits
+ * BENCH_micro_pauli.json (fixed-repetition wall times for the headline
+ * kernels) so the perf trajectory is tracked across PRs.
  */
 
 #include <algorithm>
+#include <filesystem>
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +20,7 @@
 #include "common/trace.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
+#include "io/serialize.hpp"
 #include "io/stream.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
@@ -177,6 +181,35 @@ writeJsonLog()
         }
         json.add("majorana_preprocess_mol" + std::to_string(modes), best,
                  std::nullopt, monomials);
+    }
+
+    {
+        // The emit layer of a 2048-mode (32x32 Hubbard) JW compile:
+        // build the mapping + qubit-Hamiltonian documents and stream
+        // them to disk through saveJsonFile, as io::compileInput does,
+        // best of 3. The Pauli weight is the determinism witness.
+        const HubbardParams params{32, 32, 1.0, 4.0, false};
+        const MajoranaPolynomial poly =
+            MajoranaPolynomial::fromFermion(hubbardModel(params));
+        const FermionQubitMapping map =
+            jordanWignerMapping(hubbardNumModes(params));
+        const PauliSum hq = mapToQubits(poly, map);
+        const std::filesystem::path dir =
+            std::filesystem::temp_directory_path() /
+            ("hatt_bench_emit_" + std::to_string(::getpid()));
+        std::filesystem::create_directories(dir);
+        double best = 0.0;
+        for (int rep = 0; rep < 3; ++rep) {
+            Timer t;
+            io::saveJsonFile((dir / "mapping.json").string(),
+                             io::mappingToJson(map));
+            io::saveJsonFile((dir / "qubit.json").string(),
+                             io::pauliSumToJson(hq));
+            const double s = t.seconds();
+            best = rep == 0 ? s : std::min(best, s);
+        }
+        std::filesystem::remove_all(dir);
+        json.add("emit_hubbard32_jw", best, hq.pauliWeight());
     }
 
     for (uint32_t n : {64u, 128u}) {

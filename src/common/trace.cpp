@@ -4,7 +4,6 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -13,6 +12,7 @@
 #include <vector>
 
 #include "common/buildinfo.hpp"
+#include "common/json_escape.hpp"
 
 namespace hatt::trace {
 
@@ -137,30 +137,6 @@ record(char phase, const char *category, std::string name, double ts_us)
         Event{std::move(name), category, phase, ts_us, buf.tid});
 }
 
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 /** Locale-independent shortest round-trip double (as io/json writes). */
 void
 appendDouble(std::string &out, double value)
@@ -251,9 +227,9 @@ flush()
         out += first ? "\n" : ",\n";
         first = false;
         out += "{\"name\": \"";
-        appendEscaped(out, e.name);
+        appendJsonEscaped(out, e.name);
         out += "\", \"cat\": \"";
-        appendEscaped(out, e.category);
+        appendJsonEscaped(out, e.category);
         out += "\", \"ph\": \"";
         out += e.phase;
         out += "\", \"ts\": ";
@@ -277,9 +253,9 @@ flush()
         out += first ? "\n" : ",\n";
         first = false;
         out += "\"";
-        appendEscaped(out, key);
+        appendJsonEscaped(out, key);
         out += "\": \"";
-        appendEscaped(out, value);
+        appendJsonEscaped(out, value);
         out += "\"";
     }
     out += "\n}\n}\n";

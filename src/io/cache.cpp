@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <ctime>
 #include <filesystem>
@@ -174,38 +173,6 @@ class FileLock
     int fd_ = -1;
     bool locked_ = false;
 };
-
-/**
- * Write @p text to @p path and fsync it before returning, so the
- * subsequent rename can never publish a name pointing at data the disk
- * hasn't seen (the power-loss hole of plain ofstream + rename).
- */
-void
-writeFileDurable(const std::string &path, const std::string &text)
-{
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-        throw ParseError("cannot open file for writing: " + path);
-    size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            throw ParseError("write failed: " + path);
-        }
-        off += static_cast<size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        throw ParseError("fsync failed: " + path);
-    }
-    if (::close(fd) != 0)
-        throw ParseError("close failed: " + path);
-}
 
 /** Best-effort directory fsync: makes a completed rename durable. */
 void
@@ -409,7 +376,7 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
     if (write_fault == fault::Action::Throw)
         throw ParseError("cannot write cache entry " + path +
                          " (fault injected: cache.write)");
-    writeFileDurable(tmp, doc.dump(2));
+    saveJsonFileDurable(tmp, doc);
     if (write_fault == fault::Action::Fail)
         throw ParseError("cannot publish cache entry " + path +
                          " (fault injected: cache.write)");
@@ -582,7 +549,7 @@ writeIndexFile(const std::string &dir, const std::string &index_path,
     const std::string tmp = index_path + ".tmp." +
                             std::to_string(::getpid()) + "." +
                             std::to_string(counter.fetch_add(1));
-    writeFileDurable(tmp, doc.dump(2));
+    saveJsonFileDurable(tmp, doc);
     std::error_code ec;
     fs::rename(tmp, index_path, ec);
     if (ec) {

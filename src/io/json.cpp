@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+#include <iterator>
 #include <system_error>
+
+#include <unistd.h>
+
+#include "common/json_escape.hpp"
 
 namespace hatt::io {
 
@@ -300,32 +304,28 @@ class Parser
     size_t pos_ = 0;
 };
 
-void
-appendEscaped(std::string &out, const std::string &s)
+/**
+ * Format @p value into @p buf (>= 64 bytes) and return one past the
+ * last character written. Integral values within the exact-double range
+ * print without a fraction; everything else uses 17 significant digits,
+ * which from_chars round-trips bit-exactly. to_chars always emits the C
+ * locale's '.' — snprintf("%.17g") honors LC_NUMERIC, so under a
+ * comma-decimal locale it would emit invalid JSON.
+ */
+char *
+formatNumber(char *buf, double value)
 {
-    out.push_back('"');
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    out.push_back('"');
+    if (!std::isfinite(value))
+        throw ParseError("cannot serialize non-finite number");
+    std::to_chars_result r =
+        value == std::floor(value) && std::abs(value) < 1e15
+            ? std::to_chars(buf, buf + 64, value,
+                            std::chars_format::fixed, 0)
+            : std::to_chars(buf, buf + 64, value,
+                            std::chars_format::general, 17);
+    if (r.ec != std::errc{})
+        throw ParseError("cannot serialize number");
+    return r.ptr;
 }
 
 } // namespace
@@ -394,23 +394,8 @@ parseDoubleToken(const char *first, const char *last, double &out)
 std::string
 jsonNumberToString(double value)
 {
-    if (!std::isfinite(value))
-        throw ParseError("cannot serialize non-finite number");
-    // Integral values within the exact-double range print without a
-    // fraction; everything else uses 17 significant digits, which
-    // from_chars round-trips bit-exactly. to_chars always emits the C
-    // locale's '.' — snprintf("%.17g") honors LC_NUMERIC, so under a
-    // comma-decimal locale it would emit invalid JSON.
     char buf[64];
-    std::to_chars_result r =
-        value == std::floor(value) && std::abs(value) < 1e15
-            ? std::to_chars(buf, buf + sizeof(buf), value,
-                            std::chars_format::fixed, 0)
-            : std::to_chars(buf, buf + sizeof(buf), value,
-                            std::chars_format::general, 17);
-    if (r.ec != std::errc{})
-        throw ParseError("cannot serialize number");
-    return std::string(buf, r.ptr);
+    return std::string(buf, formatNumber(buf, value));
 }
 
 bool
@@ -517,59 +502,209 @@ JsonValue::push(JsonValue value)
     arr_.push_back(std::move(value));
 }
 
-void
-JsonValue::dumpTo(std::string &out, int indent, int depth) const
+JsonWriter::JsonWriter(std::string &out, int indent)
+    : out_(out), indent_(indent)
 {
-    auto newline = [&](int level) {
-        if (indent < 0)
+}
+
+JsonWriter::JsonWriter(int fd, std::string path, int indent)
+    : out_(buffer_), fd_(fd), path_(std::move(path)), indent_(indent)
+{
+    buffer_.reserve(kBufferBytes);
+}
+
+void
+JsonWriter::put(const char *data, size_t size)
+{
+    if (fd_ >= 0 && out_.size() + size > kBufferBytes) {
+        writeAll(out_.data(), out_.size());
+        out_.clear();
+        if (size > kBufferBytes) {
+            writeAll(data, size);
             return;
-        out.push_back('\n');
-        out.append(static_cast<size_t>(indent) * level, ' ');
-    };
+        }
+    }
+    out_.append(data, size);
+}
+
+void
+JsonWriter::writeAll(const char *data, size_t size)
+{
+    while (size > 0) {
+        const ssize_t n = ::write(fd_, data, size);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            throw ParseError("write failed: " + path_);
+        }
+        data += n;
+        size -= static_cast<size_t>(n);
+    }
+}
+
+void
+JsonWriter::newline(int level)
+{
+    if (indent_ < 0)
+        return;
+    put('\n');
+    static constexpr char kSpaces[] = "                                ";
+    for (size_t n = static_cast<size_t>(indent_) * level; n > 0;) {
+        const size_t chunk = std::min(n, sizeof(kSpaces) - 1);
+        put(kSpaces, chunk);
+        n -= chunk;
+    }
+}
+
+void
+JsonWriter::beforeValue()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (depth_ == 0)
+        return;
+    if (!empty_)
+        put(',');
+    empty_ = false;
+    newline(depth_);
+}
+
+void
+JsonWriter::open(char bracket)
+{
+    beforeValue();
+    put(bracket);
+    ++depth_;
+    empty_ = true;
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    --depth_;
+    if (!empty_)
+        newline(depth_);
+    put(bracket);
+    empty_ = false;
+}
+
+void
+JsonWriter::null()
+{
+    beforeValue();
+    put("null", 4);
+}
+
+void
+JsonWriter::boolean(bool value)
+{
+    beforeValue();
+    if (value)
+        put("true", 4);
+    else
+        put("false", 5);
+}
+
+void
+JsonWriter::number(double value)
+{
+    char buf[64];
+    const char *end = formatNumber(buf, value);
+    beforeValue();
+    put(buf, static_cast<size_t>(end - buf));
+}
+
+void
+JsonWriter::string(std::string_view value)
+{
+    beforeValue();
+    struct Sink
+    {
+        JsonWriter &writer;
+        void append(const char *data, size_t n) { writer.put(data, n); }
+    } sink{*this};
+    put('"');
+    appendJsonEscaped(sink, value);
+    put('"');
+}
+
+void
+JsonWriter::beginArray()
+{
+    open('[');
+}
+
+void
+JsonWriter::endArray()
+{
+    close(']');
+}
+
+void
+JsonWriter::beginObject()
+{
+    open('{');
+}
+
+void
+JsonWriter::endObject()
+{
+    close('}');
+}
+
+void
+JsonWriter::key(std::string_view name)
+{
+    string(name);
+    if (indent_ < 0)
+        put(':');
+    else
+        put(": ", 2);
+    afterKey_ = true;
+}
+
+void
+JsonWriter::finish()
+{
+    if (indent_ >= 0)
+        put('\n');
+    if (fd_ >= 0) {
+        writeAll(out_.data(), out_.size());
+        out_.clear();
+    }
+}
+
+void
+JsonValue::writeTo(JsonWriter &out) const
+{
     switch (kind_) {
     case Kind::Null:
-        out += "null";
+        out.null();
         break;
     case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        out.boolean(bool_);
         break;
     case Kind::Number:
-        out += jsonNumberToString(num_);
+        out.number(num_);
         break;
     case Kind::String:
-        appendEscaped(out, str_);
+        out.string(str_);
         break;
     case Kind::Array:
-        if (arr_.empty()) {
-            out += "[]";
-            break;
-        }
-        out.push_back('[');
-        for (size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            newline(depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
-        }
-        newline(depth);
-        out.push_back(']');
+        out.beginArray();
+        for (const JsonValue &v : arr_)
+            v.writeTo(out);
+        out.endArray();
         break;
     case Kind::Object:
-        if (obj_.empty()) {
-            out += "{}";
-            break;
+        out.beginObject();
+        for (const auto &[k, v] : obj_) {
+            out.key(k);
+            v.writeTo(out);
         }
-        out.push_back('{');
-        for (size_t i = 0; i < obj_.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            newline(depth + 1);
-            appendEscaped(out, obj_[i].first);
-            out += indent < 0 ? ":" : ": ";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
-        }
-        newline(depth);
-        out.push_back('}');
+        out.endObject();
         break;
     }
 }
@@ -578,9 +713,9 @@ std::string
 JsonValue::dump(int indent) const
 {
     std::string out;
-    dumpTo(out, indent, 0);
-    if (indent >= 0)
-        out.push_back('\n');
+    JsonWriter writer(out, indent);
+    writeTo(writer);
+    writer.finish();
     return out;
 }
 
@@ -594,9 +729,23 @@ JsonValue::parse(const std::string &text)
 JsonValue
 JsonValue::parse(std::istream &in)
 {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
+    // One read into a string sized from the stream's remaining length;
+    // whatever a non-seekable stream still holds is appended after.
+    std::string text;
+    const std::streampos start = in.tellg();
+    if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
+        const std::streampos end = in.tellg();
+        in.seekg(start);
+        if (end > start) {
+            text.resize(static_cast<size_t>(end - start));
+            in.read(text.data(), static_cast<std::streamsize>(text.size()));
+            text.resize(static_cast<size_t>(in.gcount()));
+        }
+    }
+    in.clear();
+    text.append(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    return parse(text);
 }
 
 } // namespace hatt::io

@@ -7,7 +7,8 @@
  * subsystem (serialized trees, mappings, qubit Hamiltonians, the mapping
  * cache and the `hattc` driver). No external dependencies; numbers are
  * IEEE doubles written with enough digits (17 significant) to round-trip
- * bit-exactly, which the serialization tests rely on.
+ * bit-exactly, which the serialization tests rely on. All JSON text the
+ * io subsystem writes goes through the one JsonWriter below.
  */
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,8 @@ class ClassicLocaleScope
     std::ostream &os_;
     std::locale prev_;
 };
+
+class JsonWriter;
 
 /**
  * A JSON document node. Object member order is preserved (vector of
@@ -118,6 +122,9 @@ class JsonValue
      */
     std::string dump(int indent = -1) const;
 
+    /** Drive @p out through this value (dump() is exactly this walk). */
+    void writeTo(JsonWriter &out) const;
+
     /** Parse a complete document; trailing garbage is an error. */
     static JsonValue parse(const std::string &text);
     static JsonValue parse(std::istream &in);
@@ -125,14 +132,76 @@ class JsonValue
   private:
     explicit JsonValue(Kind kind) : kind_(kind) {}
 
-    void dumpTo(std::string &out, int indent, int depth) const;
-
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
     std::string str_;
     Array arr_;
     Object obj_;
+};
+
+/**
+ * Streaming JSON text writer: the one owner of the layout dump() emits
+ * (indent, "," and ": " separators, empty [] and {}, the trailing
+ * newline of a pretty-printed document), its string escaping and its
+ * number format. Output goes to one of two sinks: a caller's
+ * std::string, or a file descriptor behind a fixed 64 KiB buffer
+ * drained with write(2), so a document of any size streams to disk
+ * without ever existing as one string.
+ *
+ * The calls must spell exactly one well-nested value: scalars and
+ * begin/end pairs, with key() before each object member, then finish().
+ */
+class JsonWriter
+{
+  public:
+    /** Append to @p out; @p indent < 0 writes compact one-line JSON. */
+    JsonWriter(std::string &out, int indent);
+    /**
+     * Write to the open descriptor @p fd, which the caller keeps owning;
+     * @p path only names it in errors.
+     */
+    JsonWriter(int fd, std::string path, int indent);
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
+
+    void null();
+    void boolean(bool value);
+    /** @throws ParseError on a non-finite value. */
+    void number(double value);
+    void string(std::string_view value);
+    void beginArray();
+    void endArray();
+    void beginObject();
+    void endObject();
+    void key(std::string_view name);
+
+    /**
+     * End the document: the trailing newline when pretty-printing, then
+     * (fd sink) drain the buffer. Without it buffered bytes are dropped.
+     * @throws ParseError naming the path when a write fails.
+     */
+    void finish();
+
+  private:
+    static constexpr size_t kBufferBytes = size_t{64} << 10;
+
+    void put(const char *data, size_t size);
+    void put(char c) { put(&c, 1); }
+    void beforeValue();
+    void newline(int level);
+    void open(char bracket);
+    void close(char bracket);
+    void writeAll(const char *data, size_t size);
+
+    std::string buffer_; //!< the fd sink's buffer (capacity kBufferBytes)
+    std::string &out_;   //!< the caller's string, or buffer_
+    int fd_ = -1;
+    std::string path_;
+    int indent_;
+    int depth_ = 0;
+    bool empty_ = false;    //!< open container has no member yet
+    bool afterKey_ = false; //!< next value completes an object member
 };
 
 /** Render a double with round-trip (17 significant digit) precision. */

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/hash.hpp"
 
@@ -303,16 +305,42 @@ hashToHex(uint64_t hash)
     return out;
 }
 
+namespace {
+
+/** Stream @p doc pretty-printed into a fresh file at @p path. */
+void
+writeJsonFile(const std::string &path, const JsonValue &doc, bool durable)
+{
+    const int fd = ::open(path.c_str(),
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0)
+        throw ParseError("cannot open file for writing: " + path);
+    try {
+        JsonWriter out(fd, path, 2);
+        doc.writeTo(out);
+        out.finish();
+        if (durable && ::fsync(fd) != 0)
+            throw ParseError("fsync failed: " + path);
+    } catch (...) {
+        ::close(fd);
+        throw;
+    }
+    if (::close(fd) != 0)
+        throw ParseError("close failed: " + path);
+}
+
+} // namespace
+
 void
 saveJsonFile(const std::string &path, const JsonValue &doc)
 {
-    std::ofstream os(path);
-    if (!os)
-        throw ParseError("cannot open file for writing: " + path);
-    os << doc.dump(2);
-    os.flush();
-    if (!os.good())
-        throw ParseError("write failed: " + path);
+    writeJsonFile(path, doc, false);
+}
+
+void
+saveJsonFileDurable(const std::string &path, const JsonValue &doc)
+{
+    writeJsonFile(path, doc, true);
 }
 
 JsonValue

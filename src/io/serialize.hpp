@@ -56,8 +56,19 @@ uint64_t majoranaContentHash(const MajoranaPolynomial &poly);
 /** Render a hash as fixed-width lowercase hex (cache file names). */
 std::string hashToHex(uint64_t hash);
 
-/** Write @p doc pretty-printed to @p path. @throws ParseError on I/O. */
+/**
+ * Write @p doc pretty-printed (exactly the bytes of doc.dump(2)) to
+ * @p path, streamed through JsonWriter's fixed buffer.
+ * @throws ParseError naming @p path when open, write or close fails.
+ */
 void saveJsonFile(const std::string &path, const JsonValue &doc);
+
+/**
+ * saveJsonFile plus an fsync before close, so a rename that follows can
+ * never publish a name pointing at data the disk hasn't seen (the
+ * power-loss hole of a plain write + rename).
+ */
+void saveJsonFileDurable(const std::string &path, const JsonValue &doc);
 
 /**
  * Parse the JSON document at @p path. @throws ParseError — including

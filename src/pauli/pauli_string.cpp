@@ -1,6 +1,7 @@
 #include "pauli/pauli_string.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -303,9 +304,30 @@ PauliString::isDiagonal() const
 std::string
 PauliString::toString() const
 {
+    // Four qubits per lookup: entry (x | z << 4) holds the letters of a
+    // nibble's qubits 3, 2, 1, 0 in string (high-to-low) order.
+    static constexpr auto kNibbleLetters = [] {
+        std::array<std::array<char, 4>, 256> table{};
+        for (unsigned idx = 0; idx < 256; ++idx)
+            for (unsigned bit = 0; bit < 4; ++bit) {
+                const bool x = (idx >> bit) & 1, z = (idx >> (bit + 4)) & 1;
+                table[idx][3 - bit] = x ? (z ? 'Y' : 'X') : (z ? 'Z' : 'I');
+            }
+        return table;
+    }();
     std::string s(num_qubits_, 'I');
-    for (uint32_t q = 0; q < num_qubits_; ++q)
-        s[num_qubits_ - 1 - q] = pauliOpChar(op(q));
+    for (uint32_t w = 0; w < words_; ++w) {
+        uint64_t x = xData()[w], z = zData()[w];
+        const uint32_t end = std::min(num_qubits_, (w + 1) * kWordBits);
+        for (uint32_t q = w * kWordBits; q < end; q += 4, x >>= 4, z >>= 4) {
+            const char *letters =
+                kNibbleLetters[(x & 0xF) | ((z & 0xF) << 4)].data();
+            if (const uint32_t left = num_qubits_ - q; left >= 4)
+                std::memcpy(&s[left - 4], letters, 4);
+            else // top nibble of a width that is not a multiple of 4
+                std::memcpy(&s[0], letters + (4 - left), left);
+        }
+    }
     return s;
 }
 

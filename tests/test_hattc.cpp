@@ -29,6 +29,7 @@
 #include "io/serialize.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/verify.hpp"
+#include "models/hubbard.hpp"
 
 namespace hatt {
 namespace {
@@ -250,6 +251,64 @@ TEST(Hattc, VerifyAcceptsValidAndRejectsTamperedMappings)
     io::saveJsonFile(path, io::mappingToJson(map));
     EXPECT_EQ(run({"verify", path}, &text), 1);
     EXPECT_NE(text.find("valid:    no"), std::string::npos) << text;
+    fs::remove_all(dir);
+}
+
+/** FNV-1a over a file's exact bytes. */
+uint64_t
+fileHash(const fs::path &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    uint64_t h = 1469598103934665603ull;
+    for (char c; in.get(c);) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Hattc, CompileArtifactBytesArePinned)
+{
+    // Hashes of the exact mapping/tree/qubit JSON bytes, recorded from
+    // the DOM pretty-printer the streaming JsonWriter replaced; 0 marks
+    // an artifact the mapping kind does not produce.
+    fs::path dir = scratchDir("pins");
+    const fs::path hubbard = dir / "hubbard4x4.ops";
+    {
+        std::ofstream out(hubbard);
+        io::writeFermionText(out, hubbardModel({4, 4, 1.0, 4.0, false}),
+                             "Fermi-Hubbard 4x4");
+    }
+    struct Pin
+    {
+        std::string input, kind;
+        uint64_t mapping, tree, qubit;
+    };
+    const Pin pins[] = {
+        {hubbard.string(), "hatt", 0xd9855018051c7ce0ull,
+         0xd8742cdd6a2f7bf2ull, 0x0affa19d403af110ull},
+        {hubbard.string(), "jw", 0xaa8abb9eebb6463cull,
+         0, 0xae7bbcecf9ef0a20ull},
+        {dataFile("h2.ops"), "hatt", 0x6e29f7c66d504922ull,
+         0x8238699f48966007ull, 0x9bf1fad5bdd96055ull},
+        {dataFile("h2.ops"), "bk", 0xe7af27f06eb38d51ull,
+         0, 0xfa0d5afe16b58f79ull},
+    };
+    for (const Pin &pin : pins) {
+        const fs::path out = dir / pin.kind;
+        ASSERT_EQ(run({"compile", pin.input, "--mapping", pin.kind, "-o",
+                       out.string()}),
+                  0);
+        const std::string stem = fs::path(pin.input).stem().string();
+        auto hashOf = [&](const std::string &suffix) {
+            const fs::path p = out / (stem + suffix);
+            return fs::exists(p) ? fileHash(p) : 0;
+        };
+        const std::string tag = stem + "/" + pin.kind;
+        EXPECT_EQ(hashOf(".mapping.json"), pin.mapping) << tag;
+        EXPECT_EQ(hashOf(".tree.json"), pin.tree) << tag;
+        EXPECT_EQ(hashOf(".qubit.json"), pin.qubit) << tag;
+    }
     fs::remove_all(dir);
 }
 

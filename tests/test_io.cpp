@@ -23,6 +23,7 @@
 #include <locale>
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
 #include "io/cache.hpp"
@@ -170,6 +171,152 @@ TEST(Json, RejectsAbsurdNesting)
     std::string deep(1000, '[');
     deep += std::string(1000, ']');
     EXPECT_THROW(JsonValue::parse(deep), ParseError);
+}
+
+// ------------------------------------------------------- emitted bytes
+//
+// Every artifact is written through one JsonWriter; these pin its bytes
+// (recorded from the DOM pretty-printer it replaced) for both sinks.
+
+/** Bytes saveJsonFile streams to disk for @p doc. */
+std::string
+savedBytes(const JsonValue &doc, const std::string &tag)
+{
+    const fs::path path = scratchDir(tag) / "doc.json";
+    io::saveJsonFile(path.string(), doc);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    fs::remove_all(path.parent_path());
+    return buf.str();
+}
+
+TEST(EmitPins, WriterEscapesEveryAsciiByteExactly)
+{
+    std::string all;
+    for (int c = 0; c < 0x80; ++c)
+        all.push_back(static_cast<char>(c));
+    const std::string expected =
+        R"pin("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n)pin"
+        R"pin(\u000b\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015)pin"
+        R"pin(\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f)pin"
+        R"pin( !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ)pin"
+        R"pin([\\]^_`abcdefghijklmnopqrstuvwxyz{|}~)pin"
+        "\x7f\"";
+    EXPECT_EQ(JsonValue(all).dump(), expected);
+    EXPECT_EQ(JsonValue("\"").dump(), R"("\"")");
+    EXPECT_EQ(JsonValue("\\").dump(), R"("\\")");
+    // Bytes >= 0x80 (UTF-8) pass through untouched.
+    EXPECT_EQ(JsonValue("caf\xc3\xa9").dump(), "\"caf\xc3\xa9\"");
+    // Keys take the same escaper, and both sinks agree byte for byte.
+    JsonValue doc = JsonValue::object();
+    doc.add(all, all);
+    EXPECT_EQ(doc.dump(-1), "{" + expected + ":" + expected + "}");
+    EXPECT_EQ(doc.dump(2), "{\n  " + expected + ": " + expected + "\n}\n");
+    EXPECT_EQ(savedBytes(doc, "escape"), doc.dump(2));
+}
+
+TEST(EmitPins, WriterLayoutIsPinned)
+{
+    JsonValue inner = JsonValue::object();
+    inner.add("e", JsonValue::array());
+    inner.add("o", JsonValue::object());
+    JsonValue arr = JsonValue::array();
+    arr.push(42);
+    arr.push(-7);
+    arr.push(0.1);
+    arr.push(-0.0);
+    arr.push(1e15);
+    arr.push(1e20);
+    arr.push(std::move(inner));
+    arr.push(nullptr);
+    arr.push(false);
+    JsonValue doc = JsonValue::object();
+    doc.add("format", "pin");
+    doc.add("values", std::move(arr));
+    doc.add("empty", JsonValue::object());
+
+    EXPECT_EQ(doc.dump(),
+              R"({"format":"pin","values":[42,-7,0.10000000000000001,-0,)"
+              R"(1000000000000000,1e+20,{"e":[],"o":{}},null,false],)"
+              R"("empty":{}})");
+    EXPECT_EQ(doc.dump(2), R"({
+  "format": "pin",
+  "values": [
+    42,
+    -7,
+    0.10000000000000001,
+    -0,
+    1000000000000000,
+    1e+20,
+    {
+      "e": [],
+      "o": {}
+    },
+    null,
+    false
+  ],
+  "empty": {}
+}
+)");
+    EXPECT_EQ(JsonValue::array().dump(2), "[]\n");
+    EXPECT_EQ(JsonValue(3).dump(), "3");
+    EXPECT_EQ(savedBytes(doc, "layout"), doc.dump(2));
+}
+
+TEST(EmitPins, FileSinkMatchesDumpAcrossBufferBoundaries)
+{
+    // Members straddling the fd sink's 64 KiB buffer, plus one string
+    // larger than the whole buffer.
+    JsonValue doc = JsonValue::object();
+    JsonValue labels = JsonValue::array();
+    for (int i = 0; i < 5000; ++i)
+        labels.push(std::string(static_cast<size_t>(i % 97), 'X') +
+                    "\"\n" + std::to_string(i));
+    doc.add("labels", std::move(labels));
+    doc.add("big", std::string(200000, 'Z'));
+    EXPECT_EQ(savedBytes(doc, "buffer"), doc.dump(2));
+}
+
+TEST(EmitPins, PauliLabelsMatchPerQubitReference)
+{
+    // Widths around the nibble (4), word (64) and inline/heap storage
+    // boundaries, up to a 2048-mode Hubbard register.
+    Rng rng(2024);
+    for (uint32_t n : {1u, 3u, 4u, 63u, 64u, 65u, 127u, 128u, 130u, 2048u}) {
+        for (int rep = 0; rep < 6; ++rep) {
+            PauliString s(n);
+            for (uint32_t q = 0; q < n; ++q)
+                s.setOp(q, rep == 1 ? PauliOp::Y
+                                    : static_cast<PauliOp>(rng.nextInt(4)));
+            if (rep == 0)
+                s = PauliString(n);
+            std::string ref(n, '?');
+            for (uint32_t q = 0; q < n; ++q)
+                ref[n - 1 - q] = pauliOpChar(s.op(q));
+            const std::string label = s.toString();
+            EXPECT_EQ(label, ref) << "n=" << n << " rep=" << rep;
+            EXPECT_EQ(PauliString::fromLabel(label), s)
+                << "n=" << n << " rep=" << rep;
+        }
+    }
+}
+
+TEST(EmitPins, SaveJsonFileReportsWriteFailure)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not writable here";
+    JsonValue doc = JsonValue::array();
+    for (int i = 0; i < 20000; ++i)
+        doc.push(std::string(48, 'X')); // ~1.1 MB pretty-printed
+    try {
+        io::saveJsonFile("/dev/full", doc);
+        ADD_FAILURE() << "saveJsonFile returned normally on a full device";
+    } catch (const ParseError &e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ------------------------------------------------------------- .ops text
