@@ -24,16 +24,6 @@ against the committed baseline of the same file name (bench/README.md):
 --list prints the per-record join (fresh seconds/witnesses vs baseline)
 without judging it, so CI logs the full inventory next to the verdict.
 
-With --validate-metrics the positional arguments are instead metrics
-documents (hattc stats --json, batch_stats.json, batch_report.json —
-anything carrying a "metrics" section) and the script validates the
-snapshot schema: every deterministic counter is a non-negative integer,
-every volatile entry is a {count, total_seconds, min_seconds,
-max_seconds} aggregate with count >= 1 and min <= max <= total. The
-deterministic/volatile split is a wire contract (the deterministic
-section is byte-compared in CI), so a malformed snapshot must fail
-loudly rather than vacuously pass the comparison.
-
 Exit code: 0 clean, 1 regression/violation, 2 usage or unreadable file.
 """
 
@@ -117,52 +107,6 @@ def list_join(fresh_path, base_path):
         print(f"  {name}: fresh {cell(frec)} | base {cell(brec)}")
 
 
-def validate_metrics(path):
-    """Return schema violations for one metrics-carrying document."""
-    with open(path) as f:
-        doc = json.load(f)
-    metrics = doc.get("metrics", doc)
-    failures = []
-    det = metrics.get("deterministic")
-    if not isinstance(det, dict):
-        return [f"{path}: no metrics.deterministic object"]
-    for name, value in det.items():
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < 0:
-            failures.append(f"{path}: deterministic counter {name!r} is "
-                            f"{value!r}, not a non-negative integer")
-    # batch_report carries only the deterministic mirror; a volatile
-    # section, when present, must be well-formed aggregates.
-    vol = metrics.get("volatile", {})
-    if not isinstance(vol, dict):
-        return failures + [f"{path}: metrics.volatile is not an object"]
-    for name, stat in vol.items():
-        if not isinstance(stat, dict):
-            failures.append(f"{path}: volatile {name!r} is not an object")
-            continue
-        count = stat.get("count")
-        if isinstance(count, bool) or not isinstance(count, int) \
-                or count < 1:
-            failures.append(f"{path}: volatile {name!r} count is "
-                            f"{count!r}, not a positive integer")
-            continue
-        vals = {}
-        for field in ("total_seconds", "min_seconds", "max_seconds"):
-            v = stat.get(field)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or v < 0:
-                failures.append(f"{path}: volatile {name!r} {field} is "
-                                f"{v!r}, not a non-negative number")
-            else:
-                vals[field] = v
-        if len(vals) == 3 and not (vals["min_seconds"]
-                                   <= vals["max_seconds"]
-                                   <= vals["total_seconds"] + 1e-12):
-            failures.append(f"{path}: volatile {name!r} violates "
-                            "min <= max <= total")
-    return failures
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("fresh", nargs="+", help="freshly emitted BENCH_*.json")
@@ -173,28 +117,7 @@ def main():
                     help="seconds below which slowdowns are ignored")
     ap.add_argument("--list", action="store_true",
                     help="print the record join instead of judging it")
-    ap.add_argument("--validate-metrics", action="store_true",
-                    help="validate metrics snapshot schema instead of "
-                         "comparing bench records")
     args = ap.parse_args()
-
-    if args.validate_metrics:
-        any_failure = False
-        for path in args.fresh:
-            try:
-                failures = validate_metrics(path)
-            except (OSError, ValueError, json.JSONDecodeError) as e:
-                print(f"ERROR: {path}: {e}")
-                return 2
-            for f in failures:
-                print(f"FAIL: {f}")
-                any_failure = True
-        if any_failure:
-            print("metrics schema validation FAILED")
-            return 1
-        print(f"metrics schema validation passed "
-              f"({len(args.fresh)} file(s))")
-        return 0
 
     any_failure = False
     compared = 0

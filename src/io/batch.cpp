@@ -74,26 +74,11 @@ globMatch(const std::string &pattern, const std::string &text)
 
 } // namespace
 
-BatchCompiler::BatchCompiler(BatchOptions options)
-    : options_(std::move(options))
-{
-    // The memory tier only when a disk cache is configured: a cacheless
-    // batch then compiles with no store at all, exactly as it always
-    // has (no cache counters appear in its stats snapshot).
-    ServiceConfig config;
-    config.cacheDir = options_.cacheDir;
-    config.memoryStore = !options_.cacheDir.empty();
-    owned_ = std::make_unique<CompilationService>(std::move(config));
-    service_ = owned_.get();
-}
-
 BatchCompiler::BatchCompiler(BatchOptions options,
                              CompilationService &service)
     : options_(std::move(options)), service_(&service)
 {
 }
-
-BatchCompiler::~BatchCompiler() = default;
 
 std::vector<BatchItem>
 BatchCompiler::discoverInputs(const std::string &source) const

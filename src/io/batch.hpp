@@ -32,7 +32,6 @@
  *    volatile sections).
  */
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,17 +58,9 @@ std::string canonicalKind(const std::string &kind);
 class BatchCompiler
 {
   public:
-    /** Self-contained form: constructs a private CompilationService
-        from BatchOptions::cacheDir (disk tier) with the memory tier in
-        front of it whenever a cache directory is configured. */
-    explicit BatchCompiler(BatchOptions options);
-
-    /** Service-sharing form: compile through @p service's store stack
-        (borrowed; must outlive this object). BatchOptions::cacheDir is
-        ignored — the service already decided the store topology. */
+    /** Compile through @p service's store stack (borrowed; must
+        outlive this object). */
     BatchCompiler(BatchOptions options, CompilationService &service);
-
-    ~BatchCompiler();
 
     BatchCompiler(const BatchCompiler &) = delete;
     BatchCompiler &operator=(const BatchCompiler &) = delete;
@@ -102,12 +93,11 @@ class BatchCompiler
 
     const BatchOptions &options() const { return options_; }
 
-    /** The service this batch compiles through (owned or borrowed). */
+    /** The service this batch compiles through. */
     CompilationService &service() const { return *service_; }
 
   private:
     BatchOptions options_;
-    std::unique_ptr<CompilationService> owned_; //!< legacy ctor only
     CompilationService *service_;
 };
 

@@ -447,7 +447,6 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
 
     BatchOptions bopt;
     bopt.outDir = opt.outDir;
-    bopt.cacheDir = opt.cacheDir;
     bopt.mappings = splitKinds(opt.mapping);
     bopt.format = opt.format;
     bopt.glob = opt.glob;
@@ -585,27 +584,23 @@ cmdStats(const Options &opt, std::ostream &out)
     }
     if (opt.json) {
         // The machine surface: parse summary + build provenance + the
-        // run's full metrics snapshot. The "metrics.deterministic"
+        // run's full metrics snapshot, through the same hatt-stats
+        // writer as hattd's stats verb. The "metrics.deterministic"
         // object is byte-identical for every HATT_THREADS (asserted in
-        // CI and test_trace) — the payload a future hattd /stats
-        // endpoint will serve per request.
-        JsonValue doc = JsonValue::object();
-        doc.add("format", "hatt-stats");
-        doc.add("version", 1);
-        doc.add("input", opt.input);
-        doc.add("input_format", problem.format);
-        doc.add("modes", problem.numModes);
-        doc.add("fermion_terms",
-                static_cast<uint64_t>(problem.fermionTerms));
-        doc.add("majorana_monomials",
-                static_cast<uint64_t>(problem.poly.size()));
-        doc.add("max_degree", static_cast<uint64_t>(max_degree));
-        doc.add("total_indices", majorana_weight);
-        doc.add("constant_term", problem.poly.constantTerm().real());
-        doc.add("content_hash", hashToHex(problem.contentHash));
-        doc.add("build", buildInfoDocument());
-        doc.add("metrics", metricsSectionsDocument(metrics::snapshot()));
-        out << doc.dump(2) << "\n";
+        // CI and test_trace).
+        JsonValue summary = JsonValue::object();
+        summary.add("input", opt.input);
+        summary.add("input_format", problem.format);
+        summary.add("modes", problem.numModes);
+        summary.add("fermion_terms",
+                    static_cast<uint64_t>(problem.fermionTerms));
+        summary.add("majorana_monomials",
+                    static_cast<uint64_t>(problem.poly.size()));
+        summary.add("max_degree", static_cast<uint64_t>(max_degree));
+        summary.add("total_indices", majorana_weight);
+        summary.add("constant_term", problem.poly.constantTerm().real());
+        summary.add("content_hash", hashToHex(problem.contentHash));
+        out << statsToJson(metrics::snapshot(), summary).dump(2) << "\n";
         return 0;
     }
     out << "input:             " << opt.input << "\n"

@@ -35,39 +35,6 @@ nowUs()
         .count();
 }
 
-/** Status::Code -> the wire code string (docs/PROTOCOL.md, normative). */
-const char *
-statusCodeName(Status::Code code)
-{
-    switch (code) {
-      case Status::Code::Ok: return "ok";
-      case Status::Code::InvalidArgument: return "invalid_argument";
-      case Status::Code::NotFound: return "not_found";
-      case Status::Code::AlreadyExists: return "already_exists";
-      case Status::Code::Internal: return "internal";
-      case Status::Code::DeadlineExceeded: return "deadline_exceeded";
-      case Status::Code::Cancelled: return "cancelled";
-      case Status::Code::ResourceExhausted: return "resource_exhausted";
-    }
-    return "internal";
-}
-
-/** One `hatt-status` v1 frame, compact (frames are single lines). */
-std::string
-statusFrame(bool ok, const char *code, const std::string &message,
-            const char *op = nullptr)
-{
-    JsonValue doc = JsonValue::object();
-    doc.add("format", "hatt-status");
-    doc.add("version", 1);
-    doc.add("ok", ok);
-    doc.add("code", code);
-    doc.add("message", message);
-    if (op)
-        doc.add("op", op);
-    return doc.dump();
-}
-
 /** Tighten a request's cap with the server's: the effective value is
     the smaller non-zero one (0 = unset on either side). */
 uint64_t
@@ -306,11 +273,10 @@ Server::serviceInput(Connection &conn)
         if (line.size() > config_.maxFrameBytes) {
             metrics::add("server.oversized_frames");
             queueFrame(conn,
-                       statusFrame(false, "resource_exhausted",
-                                   "frame exceeds " +
-                                       std::to_string(
-                                           config_.maxFrameBytes) +
-                                       " bytes"));
+                       statusToJson(Status::resourceExhausted(
+                           "frame exceeds " +
+                           std::to_string(config_.maxFrameBytes) +
+                           " bytes")).dump());
             conn.closing = true;
             break;
         }
@@ -322,10 +288,11 @@ Server::serviceInput(Connection &conn)
     if (!conn.closing && conn.in.size() > config_.maxFrameBytes) {
         metrics::add("server.oversized_frames");
         queueFrame(conn,
-                   statusFrame(false, "resource_exhausted",
-                               "frame exceeds " +
-                                   std::to_string(config_.maxFrameBytes) +
-                                   " bytes"));
+                   statusToJson(Status::resourceExhausted(
+                                    "frame exceeds " +
+                                    std::to_string(config_.maxFrameBytes) +
+                                    " bytes"))
+                       .dump());
         conn.in.clear();
         conn.closing = true;
     }
@@ -384,50 +351,46 @@ Server::handleFrame(const std::string &line)
         doc = JsonValue::parse(line);
     } catch (const ParseError &e) {
         metrics::add("server.bad_frames");
-        return statusFrame(false, "invalid_argument",
-                           std::string("bad frame: ") + e.what());
+        return statusToJson(Status::invalidArgument(
+            std::string("bad frame: ") + e.what())).dump();
     }
     if (!doc.isObject()) {
         metrics::add("server.bad_frames");
-        return statusFrame(false, "invalid_argument",
-                           "frame must be a JSON object");
+        return statusToJson(
+            Status::invalidArgument("frame must be a JSON object")).dump();
     }
 
     if (const JsonValue *op = doc.find("op")) {
         if (!op->isString()) {
             metrics::add("server.bad_frames");
-            return statusFrame(false, "invalid_argument",
-                               "op must be a string");
+            return statusToJson(
+                Status::invalidArgument("op must be a string")).dump();
         }
         const std::string &verb = op->asString();
         if (verb == "ping") {
             metrics::add("server.pings");
-            return statusFrame(true, "ok", "pong", "ping");
+            return statusToJson(Status(Status::Code::Ok, "pong"), "ping")
+                .dump();
         }
         if (verb == "stats") {
             trace::Span stats_span("server", "stats");
             // Count the request BEFORE the snapshot, so the Nth stats
             // response deterministically reports N of itself.
             metrics::add("server.stats_requests");
-            JsonValue out = JsonValue::object();
-            out.add("format", "hatt-stats");
-            out.add("version", 1);
-            out.add("build", buildInfoDocument());
-            out.add("metrics",
-                    metricsSectionsDocument(metrics::snapshot()));
-            return out.dump();
+            return statsToJson(metrics::snapshot()).dump();
         }
         if (verb == "shutdown") {
             metrics::add("server.shutdown_requests");
             beginDrain();
-            return statusFrame(true, "ok",
-                               "draining: queued responses flush, then "
-                               "the daemon exits",
-                               "shutdown");
+            return statusToJson(
+                Status(Status::Code::Ok,
+                       "draining: queued responses flush, then the "
+                       "daemon exits"),
+                "shutdown").dump();
         }
         metrics::add("server.bad_frames");
-        return statusFrame(false, "invalid_argument",
-                           "unknown op '" + verb + "'");
+        return statusToJson(
+            Status::invalidArgument("unknown op '" + verb + "'")).dump();
     }
 
     const JsonValue *format = doc.find("format");
@@ -436,9 +399,8 @@ Server::handleFrame(const std::string &line)
         return handleCompile(doc);
 
     metrics::add("server.bad_frames");
-    return statusFrame(false, "invalid_argument",
-                       "frame is neither a control op nor a "
-                       "hatt-compile-request");
+    return statusToJson(Status::invalidArgument(
+        "frame is neither a control op nor a hatt-compile-request")).dump();
 }
 
 std::string
@@ -454,7 +416,7 @@ Server::handleCompile(const JsonValue &doc)
         // Covers newer-version rejection: checkEnvelope throws before
         // any field is half-parsed.
         metrics::add("server.bad_frames");
-        return statusFrame(false, "invalid_argument", e.what());
+        return statusToJson(Status::invalidArgument(e.what())).dump();
     }
 
     // Artifacts stay beneath the server's out root: the wire out_dir
@@ -465,10 +427,9 @@ Server::handleCompile(const JsonValue &doc)
         escapes = escapes || part == "..";
     if (escapes) {
         metrics::add("server.bad_frames");
-        return statusFrame(false, "invalid_argument",
-                           "out_dir must be a relative path without "
-                           "'..' (resolved under the server's out "
-                           "root)");
+        return statusToJson(Status::invalidArgument(
+            "out_dir must be a relative path without '..' (resolved "
+            "under the server's out root)")).dump();
     }
     req.outDir =
         (fs::path(config_.outRoot) / rel).lexically_normal().string();
@@ -486,8 +447,7 @@ Server::handleCompile(const JsonValue &doc)
     StatusOr<CompileResponse> result = service_.compile(req);
     if (!result.ok()) {
         metrics::add("server.compile_errors");
-        return statusFrame(false, statusCodeName(result.status().code()),
-                           result.status().message());
+        return statusToJson(result.status()).dump();
     }
     return compileResponseToJson(result.value()).dump();
 }
@@ -519,9 +479,9 @@ Server::run()
                 metrics::add("server.frame_timeouts");
                 trace::instant("server", "frame_timeout");
                 queueFrame(*conn,
-                           statusFrame(false, "deadline_exceeded",
-                                       "frame still incomplete after "
-                                       "the frame timeout"));
+                           statusToJson(Status::deadlineExceeded(
+                               "frame still incomplete after the frame "
+                               "timeout")).dump());
                 conn->in.clear();
                 conn->closing = true;
                 conn->expiryUs = now + (config_.frameTimeoutSeconds > 0.0

@@ -129,6 +129,13 @@ class Server
         and one write() on the wake pipe). */
     void requestStop();
 
+    /**
+     * Answer one request line exactly as run() does for a received
+     * frame: the reply frame, without the trailing newline. Callable
+     * without bind() — the in-process path tests feed frames through.
+     */
+    std::string handleFrame(const std::string &line);
+
     /** The shared compilation core (tests inspect the store stack). */
     CompilationService &service() { return service_; }
 
@@ -144,7 +151,6 @@ class Server
     /** Flush the pending write buffer. @return false on a dead peer. */
     bool flushOutput(Connection &conn);
     void queueFrame(Connection &conn, const std::string &payload);
-    std::string handleFrame(const std::string &line);
     std::string handleCompile(const JsonValue &doc);
     void beginDrain();
 

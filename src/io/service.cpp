@@ -1,6 +1,7 @@
 #include "io/service.hpp"
 
 #include <new>
+#include <utility>
 
 #include "common/deadline.hpp"
 #include "common/metrics.hpp"
@@ -16,7 +17,20 @@ namespace {
 
 constexpr const char *kRequestFormat = "hatt-compile-request";
 constexpr const char *kResponseFormat = "hatt-compile-response";
+constexpr const char *kStatusFormat = "hatt-status";
 constexpr int kWireVersion = 1;
+
+/** Status::Code <-> wire code (docs/PROTOCOL.md, normative). */
+constexpr std::pair<Status::Code, const char *> kStatusCodes[] = {
+    {Status::Code::Ok, "ok"},
+    {Status::Code::InvalidArgument, "invalid_argument"},
+    {Status::Code::NotFound, "not_found"},
+    {Status::Code::AlreadyExists, "already_exists"},
+    {Status::Code::Internal, "internal"},
+    {Status::Code::DeadlineExceeded, "deadline_exceeded"},
+    {Status::Code::Cancelled, "cancelled"},
+    {Status::Code::ResourceExhausted, "resource_exhausted"},
+};
 
 JsonValue
 optionalU64(const std::optional<uint64_t> &v)
@@ -173,6 +187,53 @@ compileResponseFromJson(const JsonValue &doc)
     resp.seconds = doc.at("seconds").asNumber();
     resp.cacheSeconds = doc.at("cache_seconds").asNumber();
     return resp;
+}
+
+JsonValue
+statusToJson(const Status &status, const char *op)
+{
+    const char *code = "internal";
+    for (const auto &[value, name] : kStatusCodes)
+        if (value == status.code())
+            code = name;
+    JsonValue doc = JsonValue::object();
+    doc.add("format", kStatusFormat);
+    doc.add("version", kWireVersion);
+    doc.add("ok", status.ok());
+    doc.add("code", code);
+    doc.add("message", status.message());
+    if (op)
+        doc.add("op", op);
+    return doc;
+}
+
+Status
+statusFromJson(const JsonValue &doc)
+{
+    checkEnvelope(doc, kStatusFormat, kWireVersion);
+    const std::string &code = doc.at("code").asString();
+    for (const auto &[value, name] : kStatusCodes) {
+        if (code != name)
+            continue;
+        Status status(value, doc.at("message").asString());
+        if (doc.at("ok").asBool() != status.ok())
+            throw ParseError("ok flag contradicts code '" + code + "'");
+        return status;
+    }
+    throw ParseError("unknown status code '" + code + "'");
+}
+
+JsonValue
+statsToJson(const metrics::Snapshot &snap, const JsonValue &summary)
+{
+    JsonValue doc = JsonValue::object();
+    doc.add("format", "hatt-stats");
+    doc.add("version", kWireVersion);
+    for (const auto &[key, value] : summary.asObject())
+        doc.add(key, value);
+    doc.add("build", buildInfoDocument());
+    doc.add("metrics", metricsSectionsDocument(snap));
+    return doc;
 }
 
 // -------------------------------------------------------------- service

@@ -7,7 +7,8 @@
  * the shared store stack (in-memory TieredMappingStore over the on-disk
  * MappingCache), dispatches compile work through the MapperRegistry via
  * the io/driver pipeline, and speaks versioned, JSON-round-trippable
- * request/response structs — the intended `hattd` wire protocol v1.
+ * request/response structs plus the status and stats frame writers —
+ * the `hattd` wire protocol v1 (docs/PROTOCOL.md).
  * Nothing here reads argv or writes diagnostics: the CLI front end
  * (io/cli) and any future daemon are thin shells over this surface.
  *
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "io/driver.hpp"
 #include "io/json.hpp"
 #include "io/limits.hpp"
@@ -111,6 +113,24 @@ JsonValue compileResponseToJson(const CompileResponse &resp);
 /** @throws ParseError on a bad envelope or field shape. */
 CompileResponse compileResponseFromJson(const JsonValue &doc);
 
+/**
+ * One "hatt-status" v1 frame for @p status. `ok` and the wire `code`
+ * both derive from status.code(), so a frame cannot contradict itself;
+ * @p op echoes an acknowledged control verb (omitted when null).
+ */
+JsonValue statusToJson(const Status &status, const char *op = nullptr);
+/** @throws ParseError on a bad envelope or field shape, an unknown
+    code, or an `ok` flag that contradicts the code. */
+Status statusFromJson(const JsonValue &doc);
+
+/**
+ * One "hatt-stats" v1 document: the envelope, then @p summary's members
+ * (`hattc stats --json` puts its parse summary there; the daemon passes
+ * none), then build provenance and the metrics snapshot @p snap.
+ */
+JsonValue statsToJson(const metrics::Snapshot &snap,
+                      const JsonValue &summary = JsonValue::object());
+
 // ------------------------------------------------------------ batch I/O
 
 /** One unit of batch work: an (input file, mapping kind) pair. */
@@ -175,7 +195,6 @@ struct BatchItemResult
 struct BatchOptions
 {
     std::string outDir = "out";
-    std::string cacheDir; //!< empty = no shared disk cache
 
     /** Default mapping kinds: every discovered input fans out across all
         of them (manifest lines may override per input). */

@@ -30,11 +30,13 @@
 #include "io/json.hpp"
 #include "io/serialize.hpp"
 #include "mapping/mapper.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::JsonValue;
 
 /** Every test disarms the global registry on exit, pass or fail. */
@@ -43,19 +45,6 @@ class FaultTest : public ::testing::Test
   protected:
     void TearDown() override { fault::disable(); }
 };
-
-std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
-}
 
 fs::path
 scratchDir(const std::string &tag)

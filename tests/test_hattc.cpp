@@ -30,11 +30,13 @@
 #include "mapping/hatt.hpp"
 #include "mapping/verify.hpp"
 #include "models/hubbard.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::JsonValue;
 
 /** FNV-1a over a PauliSum's term strings + coefficient bit patterns. */
@@ -57,19 +59,6 @@ sumHash(const PauliSum &sum)
         mix_bytes(s.data(), s.size());
     }
     return h;
-}
-
-std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
 }
 
 fs::path
@@ -314,11 +303,11 @@ TEST(Hattc, CompileArtifactBytesArePinned)
 
 // ------------------------------------------------------------------ batch
 
-/** Directory holding the sample corpus (resolved via dataFile). */
+/** Directory holding the sample corpus. */
 std::string
 dataDir()
 {
-    return fs::path(dataFile("h2.ops")).parent_path().string();
+    return test::sourcePath("examples/data");
 }
 
 std::string
@@ -374,6 +363,10 @@ TEST(Hattc, BatchReportDeterministicAcrossThreadsAndAllHitsWhenWarm)
     JsonValue doc = JsonValue::parse(report);
     EXPECT_EQ(doc.at("format").asString(), "hatt-batch-report");
     EXPECT_EQ(doc.at("version").asInt(), 4);
+    // Both stats snapshots and the report's counter mirror are
+    // well-formed metrics sections.
+    for (const JsonValue *d : {&cold, &warm, &doc})
+        EXPECT_EQ(test::metricsSnapshotError(d->at("metrics")), "");
     // v4 additions: build provenance + the deterministic workload
     // mirror (parse./preprocess. counters only, so the byte-compares
     // above stay valid across threads and cache temperature).
@@ -762,7 +755,8 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
     // unsorted caller-supplied list must not race on one output dir.
     io::BatchOptions bopt;
     bopt.outDir = (dir / "out3").string();
-    io::BatchCompiler compiler(bopt);
+    io::CompilationService service({.memoryStore = false});
+    io::BatchCompiler compiler(bopt, service);
     auto item = [&](const std::string &p) {
         io::BatchItem it;
         it.path = p;

@@ -38,11 +38,13 @@
 #include "models/chains.hpp"
 #include "models/hubbard.hpp"
 #include "preprocess_streams.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::JsonValue;
 using io::ParseError;
 
@@ -79,20 +81,6 @@ sumHash(const PauliSum &sum)
         mix_bytes(s.data(), s.size());
     }
     return h;
-}
-
-/** Locate a file under examples/data from the build/test working dir. */
-std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
 }
 
 /** Fresh scratch directory under the system temp dir. */

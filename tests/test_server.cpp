@@ -33,30 +33,19 @@
 #include "io/json.hpp"
 #include "io/server.hpp"
 #include "io/service.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::CompilationService;
 using io::CompileRequest;
 using io::JsonValue;
 using io::Server;
 using io::ServerConfig;
 using io::ServiceConfig;
-
-std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
-}
 
 fs::path
 scratchDir(const std::string &tag)

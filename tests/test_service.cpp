@@ -32,11 +32,13 @@
 #include "io/stream.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/store.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::BatchOptions;
 using io::BatchOutcome;
 using io::CompilationService;
@@ -46,22 +48,9 @@ using io::JsonValue;
 using io::ServiceConfig;
 
 std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
-}
-
-std::string
 dataDir()
 {
-    return fs::path(dataFile("h2.ops")).parent_path().string();
+    return test::sourcePath("examples/data");
 }
 
 fs::path

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -32,25 +31,14 @@
 #include "io/cli.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
+#include "support.hpp"
 
 namespace hatt {
 namespace {
 
 namespace fs = std::filesystem;
+using test::dataFile;
 using io::JsonValue;
-
-std::string
-dataFile(const std::string &name)
-{
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
-}
 
 fs::path
 scratchDir(const std::string &tag)
@@ -244,6 +232,9 @@ TEST(Metrics, StatsDeterministicSectionInvariantAcrossThreads)
     ASSERT_EQ(run({"stats", "--json", input}, &stats4), 0);
     setParallelThreads(0);
 
+    EXPECT_EQ(test::metricsSnapshotError(
+                  JsonValue::parse(stats1).at("metrics")),
+              "");
     const std::string det1 = deterministicSection(stats1);
     EXPECT_EQ(det1, deterministicSection(stats4));
     EXPECT_NE(det1.find("parse.files"), std::string::npos);
@@ -268,6 +259,8 @@ TEST(Metrics, BatchSnapshotColdWarmInvariants)
     };
     JsonValue cold = batch_metrics("cold");
     JsonValue warm = batch_metrics("warm");
+    EXPECT_EQ(test::metricsSnapshotError(cold), "");
+    EXPECT_EQ(test::metricsSnapshotError(warm), "");
 
     const JsonValue &cd = cold.at("deterministic");
     const JsonValue &wd = warm.at("deterministic");
