@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
@@ -194,9 +193,6 @@ BatchCompiler::run(std::vector<BatchItem> items) const
     // (results are bit-identical for every cap by the pool contract).
     ScopedParallelThreads thread_scope(options_.jobs);
 
-    MappingStore *store = service_->store();
-    MappingCache *disk = service_->diskCache();
-
     std::vector<BatchItemResult> results(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
         results[i].item = std::move(items[i]);
@@ -213,14 +209,8 @@ BatchCompiler::run(std::vector<BatchItem> items) const
     std::set<std::string> seen;
     for (BatchItemResult &r : results)
         if (!seen.insert(r.item.key()).second)
-            r.error = "duplicate work item '" + r.item.key() +
-                      "' in batch";
-
-    CompileConfig config;
-    config.limits = options_.limits;
-    config.timeoutSeconds = options_.timeoutSeconds;
-    config.fallback = options_.fallback;
-    config.device = options_.device;
+            r.status = Status::alreadyExists("duplicate work item '" +
+                                             r.item.key() + "' in batch");
 
     // One work item per chunk: items are the coarse parallel grain, and
     // each item's own stages (sharded preprocessing, candidate scans,
@@ -228,64 +218,37 @@ BatchCompiler::run(std::vector<BatchItem> items) const
     metrics::add("batch.work_items", results.size());
     parallelFor(results.size(), 1, [&](size_t i) {
         BatchItemResult &r = results[i];
-        if (!r.error.empty())
+        if (!r.ok())
             return;
         trace::Span item_span("batch", "item:" + r.item.key());
         Timer timer;
-        try {
-            const std::string out_dir =
-                (fs::path(options_.outDir) / r.item.key()).string();
-            // A recognized extension always wins over a forced format:
-            // one --format must not misparse a mixed .ops/.fcidump
-            // corpus — it only covers extension-less inputs.
-            InputFormat format =
-                formatFromExtension(r.item.path)
-                    .value_or(options_.format);
-            CompileOutcome res =
-                compileInput(r.item.path, format, r.item.mapping,
-                             out_dir, store, true, config);
-            r.format = res.problem.format;
-            r.numModes = res.problem.numModes;
-            r.fermionTerms = res.problem.fermionTerms;
-            r.monomials = res.problem.poly.size();
-            r.contentHash = res.problem.contentHash;
-            r.numQubits = res.built.mapping.numQubits;
-            r.pauliWeight = res.qubitMetrics->pauliWeight;
-            r.candidates = res.built.metrics.candidates;
-            if (res.hardwareCost) {
-                r.device = config.device;
-                r.routedCnots = res.hardwareCost->cnots;
-                r.routedU3 = res.hardwareCost->u3;
-                r.routedDepth = res.hardwareCost->depth;
-                r.routedSwaps = res.hardwareCost->swaps;
-            }
-            r.cacheHit = res.built.metrics.cacheHit;
-            r.cacheTier = res.built.metrics.cacheTier;
-            r.degraded = res.degraded;
-            if (disk && disk->wasQuarantined(res.problem.contentHash,
-                                             r.item.mapping))
-                r.quarantinedCache = true;
-            r.ok = true;
-        } catch (const DeadlineError &e) {
-            // The item's budget expired (construction without
-            // --fallback, or qubit mapping): isolated, not fatal.
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const DeadlineExceededError &e) {
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const CancelledError &e) {
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const std::exception &e) {
-            // One bad input must not abort the batch: report and move on.
-            r.error = e.what();
-        }
+        CompileRequest req;
+        req.path = r.item.path;
+        // A recognized extension always wins over a forced format: one
+        // --format must not misparse a mixed .ops/.fcidump corpus — it
+        // only covers extension-less inputs.
+        req.format = inputFormatName(
+            formatFromExtension(r.item.path).value_or(options_.format));
+        req.mapping = r.item.mapping;
+        req.outDir = (fs::path(options_.outDir) / r.item.key()).string();
+        req.emitQubit = true;
+        req.maxTerms = options_.maxTerms;
+        req.maxModes = options_.maxModes;
+        req.timeoutSeconds = options_.timeoutSeconds;
+        req.fallback = options_.fallback;
+        req.device = options_.device;
+        // req.jobs stays 0: the batch-wide thread scope above applies.
+        // One bad input does not abort the batch: its Status is the row.
+        StatusOr<CompileResponse> resp = service_->compile(req);
+        if (resp.ok())
+            r.response = std::move(resp).value();
+        else
+            r.status = resp.status();
         r.seconds = timer.seconds();
         metrics::observe("batch.item_seconds", r.seconds);
     });
 
-    if (disk) {
+    if (MappingCache *disk = service_->diskCache()) {
         try {
             disk->flushIndex();
         } catch (const std::exception &) {
@@ -317,46 +280,43 @@ BatchCompiler::reportDocument(const std::vector<BatchItemResult> &results)
         // fields — they are flavors of success; timeout is a flavor of
         // failure. degraded wins over quarantined_cache when both apply
         // (the fallback changed WHAT was built, the quarantine only how).
-        const char *status = r.ok ? (r.degraded ? "degraded"
-                                     : r.quarantinedCache
-                                         ? "quarantined_cache"
-                                         : "ok")
-                                  : (r.timedOut ? "timeout" : "error");
+        const CompileResponse &resp = r.response;
+        const char *status = r.ok() ? (resp.degraded ? "degraded"
+                                       : resp.quarantinedCache
+                                           ? "quarantined_cache"
+                                           : "ok")
+                                    : (r.timedOut() ? "timeout" : "error");
         rec.add("status", status);
-        if (!r.ok) {
-            rec.add("error", r.error);
+        if (!r.ok()) {
+            rec.add("error", r.error());
             inputs.push(std::move(rec));
             continue;
         }
         ++ok;
-        if (r.degraded)
+        if (resp.degraded)
             ++degraded;
-        total_weight += r.pauliWeight;
-        rec.add("input_format", r.format);
-        rec.add("modes", r.numModes);
-        rec.add("fermion_terms", static_cast<uint64_t>(r.fermionTerms));
-        rec.add("majorana_monomials", static_cast<uint64_t>(r.monomials));
-        rec.add("content_hash", hashToHex(r.contentHash));
-        rec.add("num_qubits", r.numQubits);
-        rec.add("pauli_weight", r.pauliWeight);
-        rec.add("candidates", r.candidates ? JsonValue(*r.candidates)
-                                           : JsonValue(nullptr));
+        // Batch items always emit the qubit Hamiltonian, so an ok row
+        // always has a pauli weight.
+        const uint64_t weight = resp.pauliWeight.value_or(0);
+        total_weight += weight;
+        rec.add("input_format", resp.inputFormat);
+        rec.add("modes", resp.numModes);
+        rec.add("fermion_terms", resp.fermionTerms);
+        rec.add("majorana_monomials", resp.monomials);
+        rec.add("content_hash", hashToHex(resp.contentHash));
+        rec.add("num_qubits", resp.numQubits);
+        rec.add("pauli_weight", weight);
+        rec.add("candidates", optionalToJson(resp.candidates));
         // Device-aware batches only: the routed-cost block is part of
         // the deterministic report (byte-compared across thread caps),
         // and its absence keeps architecture-agnostic reports
         // byte-identical to earlier versions.
-        if (!r.device.empty()) {
-            rec.add("device", r.device);
-            rec.add("routed_cnots", r.routedCnots ? JsonValue(*r.routedCnots)
-                                                  : JsonValue(nullptr));
-            rec.add("routed_u3", r.routedU3 ? JsonValue(*r.routedU3)
-                                            : JsonValue(nullptr));
-            rec.add("routed_depth", r.routedDepth
-                                        ? JsonValue(*r.routedDepth)
-                                        : JsonValue(nullptr));
-            rec.add("routed_swaps", r.routedSwaps
-                                        ? JsonValue(*r.routedSwaps)
-                                        : JsonValue(nullptr));
+        if (!resp.device.empty()) {
+            rec.add("device", resp.device);
+            rec.add("routed_cnots", optionalToJson(resp.routedCnots));
+            rec.add("routed_u3", optionalToJson(resp.routedU3));
+            rec.add("routed_depth", optionalToJson(resp.routedDepth));
+            rec.add("routed_swaps", optionalToJson(resp.routedSwaps));
         }
         inputs.push(std::move(rec));
     }
@@ -390,15 +350,16 @@ BatchCompiler::statsDocument(const std::vector<BatchItemResult> &results)
     for (const BatchItemResult &r : results) {
         JsonValue rec = JsonValue::object();
         rec.add("key", r.item.key());
+        const CompileResponse &resp = r.response;
         rec.add("seconds", r.seconds);
-        rec.add("cache_hit", r.cacheHit);
-        rec.add("cache_tier", r.cacheTier.empty()
+        rec.add("cache_hit", resp.cacheHit);
+        rec.add("cache_tier", resp.cacheTier.empty()
                                   ? JsonValue(nullptr)
-                                  : JsonValue(r.cacheTier));
+                                  : JsonValue(resp.cacheTier));
         inputs.push(std::move(rec));
-        if (r.cacheHit)
+        if (resp.cacheHit)
             ++hits;
-        if (r.cacheTier == "memory")
+        if (resp.cacheTier == "memory")
             ++memory_hits;
         seconds += r.seconds;
     }

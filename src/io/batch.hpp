@@ -4,12 +4,12 @@
 /**
  * @file
  * Corpus compilation over a CompilationService: discover (input,
- * mapping) work items from a directory or manifest, compile them in
- * parallel over the work pool through the service's shared store stack,
- * and render the two batch documents. The work-item/result/option
- * structs live in io/service.hpp (they are part of the service surface:
- * compileBatch returns them); this header adds the engine that runs
- * them.
+ * mapping) work items from a directory or manifest, compile each one in
+ * parallel over the work pool as one CompilationService::compile request
+ * (sharing the service's store stack), and render the two batch
+ * documents. The work-item/result/option structs live in
+ * io/service.hpp (they are part of the service surface: compileBatch
+ * returns them); this header adds the engine that runs them.
  *
  * Corrupt cache entries are soft misses (quarantined by the disk tier),
  * so a damaged cache file can never abort a batch; a failing input is
@@ -90,11 +90,6 @@ class BatchCompiler
     /** The volatile stats document (timings, cache hits + tiers). */
     static JsonValue statsDocument(
         const std::vector<BatchItemResult> &results);
-
-    const BatchOptions &options() const { return options_; }
-
-    /** The service this batch compiles through. */
-    CompilationService &service() const { return *service_; }
 
   private:
     BatchOptions options_;

@@ -201,14 +201,10 @@ parseArgs(const std::vector<std::string> &args_in)
             opt.mapping = value(i);
         } else if (a == "--format") {
             const std::string &f = value(i);
-            if (f == "auto")
-                opt.format = InputFormat::Auto;
-            else if (f == "ops")
-                opt.format = InputFormat::Ops;
-            else if (f == "fcidump")
-                opt.format = InputFormat::Fcidump;
-            else
+            std::optional<InputFormat> format = parseInputFormat(f);
+            if (!format)
                 throw UsageError("unknown format '" + f + "'");
+            opt.format = *format;
         } else if (a == "-o" || a == "--out") {
             opt.outDir = value(i);
         } else if (a == "--cache") {
@@ -365,17 +361,6 @@ parseArgs(const std::vector<std::string> &args_in)
     return opt;
 }
 
-/** InputFormat -> the wire-schema spelling CompileRequest carries. */
-const char *
-formatName(InputFormat format)
-{
-    switch (format) {
-      case InputFormat::Ops: return "ops";
-      case InputFormat::Fcidump: return "fcidump";
-      default: return "auto";
-    }
-}
-
 /** The CLI's service topology: a disk tier when --cache was given, with
     the in-memory tier in front of it. Cacheless invocations run with no
     store at all — exactly the pre-service behavior, so their metrics
@@ -397,7 +382,7 @@ cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
 
     CompileRequest req;
     req.path = opt.input;
-    req.format = formatName(opt.format);
+    req.format = inputFormatName(opt.format);
     req.mapping = opt.mapping;
     req.outDir = opt.outDir;
     req.emitQubit = compile;
@@ -451,7 +436,8 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
     bopt.format = opt.format;
     bopt.glob = opt.glob;
     bopt.jobs = opt.jobs;
-    bopt.limits = opt.limits;
+    bopt.maxTerms = opt.limits.maxTerms;
+    bopt.maxModes = opt.limits.maxModes;
     bopt.timeoutSeconds = opt.timeoutSeconds;
     bopt.fallback = opt.fallback;
     bopt.device = opt.device;
@@ -473,19 +459,20 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
         << opt.input << "\n";
     size_t failed = 0, degraded = 0;
     for (const BatchItemResult &r : results) {
-        if (r.ok) {
-            if (r.degraded)
+        const CompileResponse &res = r.response;
+        if (r.ok()) {
+            if (res.degraded)
                 ++degraded;
-            out << "  ok    " << r.item.key() << " -> " << r.numQubits
-                << " qubits, weight " << r.pauliWeight
-                << (r.cacheHit ? "  [cache hit]" : "")
-                << (r.degraded ? "  [degraded]" : "")
-                << (r.quarantinedCache ? "  [cache quarantined]" : "")
+            out << "  ok    " << r.item.key() << " -> " << res.numQubits
+                << " qubits, weight " << res.pauliWeight.value_or(0)
+                << (res.cacheHit ? "  [cache hit]" : "")
+                << (res.degraded ? "  [degraded]" : "")
+                << (res.quarantinedCache ? "  [cache quarantined]" : "")
                 << "\n";
         } else {
             ++failed;
-            out << "  " << (r.timedOut ? "TIME " : "FAIL ") << " "
-                << r.item.key() << "  " << r.error << "\n";
+            out << "  " << (r.timedOut() ? "TIME " : "FAIL ") << " "
+                << r.item.key() << "  " << r.error() << "\n";
         }
     }
     out << "summary:      " << results.size() - failed << " ok, " << failed
@@ -798,9 +785,6 @@ runHattc(const std::vector<std::string> &args, std::ostream &out,
     } catch (const UsageError &e) {
         err << "hattc: " << e.what() << "\n\n" << kUsage;
         return kExitUsage;
-    } catch (const DeadlineError &e) {
-        err << "hattc: " << e.what() << "\n";
-        return exitCodeForStatus(Status::Code::DeadlineExceeded);
     } catch (const DeadlineExceededError &e) {
         err << "hattc: " << e.what() << "\n";
         return exitCodeForStatus(Status::Code::DeadlineExceeded);

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <utility>
 
 #include "common/buildinfo.hpp"
 #include "common/timer.hpp"
@@ -17,16 +19,40 @@ namespace hatt::io {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/** InputFormat <-> name (the `--format` and wire spelling). */
+constexpr std::pair<InputFormat, const char *> kFormatNames[] = {
+    {InputFormat::Auto, "auto"},
+    {InputFormat::Ops, "ops"},
+    {InputFormat::Fcidump, "fcidump"},
+};
+
+} // namespace
+
+std::optional<InputFormat>
+parseInputFormat(const std::string &name)
+{
+    for (const auto &[format, spelling] : kFormatNames)
+        if (name == spelling)
+            return format;
+    return std::nullopt;
+}
+
+const char *
+inputFormatName(InputFormat format)
+{
+    for (const auto &[value, spelling] : kFormatNames)
+        if (value == format)
+            return spelling;
+    return "auto";
+}
+
 InputFormat
 detectFormat(const std::string &path)
 {
-    std::string ext = fs::path(path).extension().string();
-    for (char &c : ext)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (ext == ".fcidump")
-        return InputFormat::Fcidump;
-    if (ext == ".ops")
-        return InputFormat::Ops;
+    if (std::optional<InputFormat> format = formatFromExtension(path))
+        return *format;
     // Sniff: FCIDUMP files open with an &FCI namelist.
     std::ifstream in(path);
     if (!in)
@@ -76,13 +102,13 @@ loadProblem(const std::string &path, InputFormat format,
 
     LoadedProblem problem;
     problem.stem = fs::path(path).stem().string();
+    problem.format = inputFormatName(format);
 
     ShardedMajoranaPreprocessor acc;
     try {
         trace::Span parse_span("driver", "parse");
         metrics::ScopedTimer parse_timer("parse.seconds");
         if (format == InputFormat::Ops) {
-            problem.format = "ops";
             std::ifstream in(path);
             if (!in)
                 throw ParseError("cannot open file: " + path);
@@ -94,7 +120,6 @@ loadProblem(const std::string &path, InputFormat format,
             acc.ensureModes(info.numModes);
             problem.fermionTerms = info.numTerms;
         } else {
-            problem.format = "fcidump";
             FermionHamiltonian hf = loadFcidumpHamiltonian(path, limits);
             for (const FermionTerm &term : hf.terms())
                 acc.add(FermionTerm(term));
@@ -120,7 +145,7 @@ loadProblem(const std::string &path, InputFormat format,
     return problem;
 }
 
-MappingResult
+StatusOr<MappingResult>
 buildRequestedMapping(const std::string &kind, const LoadedProblem &problem,
                       MappingStore *store, const RunLimits &limits,
                       const std::string &device)
@@ -135,21 +160,7 @@ buildRequestedMapping(const std::string &kind, const LoadedProblem &problem,
         if (mapper && mapper->capabilities().deviceAware)
             req.options["device"] = device;
     }
-    StatusOr<MappingResult> built =
-        MapperRegistry::instance().build(req, store);
-    if (!built.ok()) {
-        const Status &status = built.status();
-        switch (status.code()) {
-          case Status::Code::DeadlineExceeded:
-          case Status::Code::Cancelled:
-            throw DeadlineError(status.message());
-          case Status::Code::Internal:
-          case Status::Code::ResourceExhausted:
-            throw InternalError(status.message());
-          default: throw ParseError(status.message());
-        }
-    }
-    return std::move(built).value();
+    return MapperRegistry::instance().build(req, store);
 }
 
 JsonValue
@@ -207,10 +218,8 @@ metricsDocument(const std::string &name, double seconds,
     rec.add("name", name);
     rec.add("seconds", seconds);
     rec.add("cache_seconds", cache_seconds);
-    rec.add("pauli_weight",
-            pauli_weight ? JsonValue(*pauli_weight) : JsonValue(nullptr));
-    rec.add("candidates",
-            candidates ? JsonValue(*candidates) : JsonValue(nullptr));
+    rec.add("pauli_weight", optionalToJson(pauli_weight));
+    rec.add("candidates", optionalToJson(candidates));
     rec.add("cache_hit", cache_hit);
     rec.add("degraded", degraded);
     JsonValue records = JsonValue::array();
@@ -231,11 +240,13 @@ ensureOutDir(const std::string &dir)
                          ec.message());
 }
 
-CompileOutcome
-compileInput(const std::string &path, InputFormat format,
-             const std::string &kind, const std::string &out_dir,
-             MappingStore *store, bool emit_qubit,
-             const CompileConfig &config)
+namespace {
+
+/** compileInput's body; failures arrive as Status or as exceptions. */
+StatusOr<CompileOutcome>
+runCompile(const std::string &path, InputFormat format,
+           const std::string &kind, const std::string &out_dir,
+           MappingStore *store, bool emit_qubit, const CompileConfig &config)
 {
     CompileOutcome res;
     res.problem = loadProblem(path, format, config.limits);
@@ -243,31 +254,33 @@ compileInput(const std::string &path, InputFormat format,
     RunLimits run;
     if (config.timeoutSeconds > 0.0)
         run.deadline = Deadline::after(config.timeoutSeconds);
-    try {
-        res.built = buildRequestedMapping(kind, res.problem, store, run,
-                                          config.device);
-    } catch (const DeadlineError &) {
-        if (!config.fallback)
-            throw;
+    StatusOr<MappingResult> built = buildRequestedMapping(
+        kind, res.problem, store, run, config.device);
+    const Status::Code code = built.status().code();
+    if (!built.ok() && config.fallback &&
+        (code == Status::Code::DeadlineExceeded ||
+         code == Status::Code::Cancelled)) {
         // The fallback kind is device-independent by design, so no
         // device option is threaded through.
-        res.built =
-            buildRequestedMapping("btt", res.problem, store, RunLimits{});
+        built = buildRequestedMapping("btt", res.problem, store, RunLimits{});
         res.degraded = true;
     }
+    if (!built.ok())
+        return built.status();
+    res.built = std::move(built).value();
 
     if (!config.device.empty()) {
         // Routed hardware cost of whatever was built (any kind) on the
         // requested device — the Table IV metric, surfaced per compile.
         StatusOr<CouplingMap> dev = device::resolveDevice(config.device);
         if (!dev.ok())
-            throw ParseError(dev.status().message());
+            return dev.status();
         trace::Span route_span("driver", "route");
         metrics::ScopedTimer route_timer("route.seconds");
         StatusOr<device::HardwareCost> cost = device::evaluateHardwareCost(
             res.problem.poly, res.built.mapping, dev.value());
         if (!cost.ok())
-            throw ParseError(cost.status().message());
+            return cost.status();
         res.hardwareCost = cost.value();
     }
 
@@ -325,6 +338,30 @@ compileInput(const std::string &path, InputFormat format,
                                  res.degraded,
                                  res.built.metrics.cacheSeconds));
     return res;
+}
+
+} // namespace
+
+StatusOr<CompileOutcome>
+compileInput(const std::string &path, InputFormat format,
+             const std::string &kind, const std::string &out_dir,
+             MappingStore *store, bool emit_qubit,
+             const CompileConfig &config)
+{
+    try {
+        return runCompile(path, format, kind, out_dir, store, emit_qubit,
+                          config);
+    } catch (const ParseError &e) {
+        return Status::invalidArgument(e.what());
+    } catch (const DeadlineExceededError &e) {
+        return Status::deadlineExceeded(e.what());
+    } catch (const CancelledError &e) {
+        return Status::cancelled(e.what());
+    } catch (const std::bad_alloc &) {
+        return Status::resourceExhausted("out of memory");
+    } catch (const std::exception &e) {
+        return Status::internal(e.what());
+    }
 }
 
 } // namespace hatt::io

@@ -7,19 +7,19 @@
  * stream-preprocess it into Majorana form, build the requested mapping
  * through the MapperRegistry, map the qubit Hamiltonian, and write
  * every artifact. These are pure functions over explicit inputs — no
- * argv, no process state beyond the metrics/trace instrumentation — so
- * the CompilationService (io/service), the batch engine (io/batch) and
- * the CLI front end (io/cli) all drive exactly one pipeline.
+ * argv, no process state beyond the metrics/trace instrumentation.
+ * compileInput has one caller, CompilationService::compile (io/service),
+ * which every front end — `hattc compile`, `hattd` and each `hattc
+ * batch` item — goes through.
  *
- * Layering: cli -> service -> driver/batch -> MapperRegistry -> stores.
- * This header is the bottom of the io compile stack; it knows nothing
- * about requests, reports or command lines.
+ * Layering: cli/server/batch -> service -> driver -> MapperRegistry ->
+ * stores. This header is the bottom of the io compile stack; it knows
+ * nothing about requests, reports or command lines.
  */
 
 #include <cstdint>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "common/deadline.hpp"
@@ -35,6 +35,13 @@ namespace hatt::io {
 
 /** Input file format selector. */
 enum class InputFormat { Auto, Ops, Fcidump };
+
+/** "auto" | "ops" | "fcidump" -> format; nullopt for any other name. */
+std::optional<InputFormat> parseInputFormat(const std::string &name);
+
+/** The name parseInputFormat reads back: the `--format` and wire
+    spelling, and LoadedProblem::format for Ops/Fcidump. */
+const char *inputFormatName(InputFormat format);
 
 /** A parsed + preprocessed input Hamiltonian. */
 struct LoadedProblem
@@ -69,43 +76,25 @@ InputFormat detectFormat(const std::string &path);
 std::optional<InputFormat>
 formatFromExtension(const std::filesystem::path &path);
 
-/** The compile budget expired or the run was cancelled; the CLI maps
-    this to exit 75 (EX_TEMPFAIL). */
-struct DeadlineError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/** Invariant/resource failure inside the library; exit 70. */
-struct InternalError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
 /**
- * Build @p kind over @p problem through the MapperRegistry — the one
- * construction path every hattc command and the batch service share.
+ * Build @p kind over @p problem through the MapperRegistry — the
+ * construction step of compileInput.
  * The store (when given) plugs in as the registry's MappingStore, so
  * cache keying, tier attribution and hit/miss accounting live behind
- * the registry.
- *
- * A non-ok Status becomes the exception matching its exit code:
- * DeadlineExceeded/Cancelled -> DeadlineError (75), Internal/
- * ResourceExhausted -> InternalError (70), everything else (unknown
- * kind, bad request, over-ceiling input) -> ParseError (65).
+ * the registry, and the registry's Status comes back unchanged.
  *
  * @p device (canonical DeviceRegistry name, may be empty) becomes the
  * request's "device" option — but only when the mapper declares the
  * deviceAware capability, so device-independent kinds (jw, btt, ...)
  * keep device-independent cache keys under `--device`.
  */
-MappingResult buildRequestedMapping(const std::string &kind,
-                                    const LoadedProblem &problem,
-                                    MappingStore *store,
-                                    const RunLimits &limits,
-                                    const std::string &device = "");
+StatusOr<MappingResult>
+buildRequestedMapping(const std::string &kind, const LoadedProblem &problem,
+                      MappingStore *store, const RunLimits &limits,
+                      const std::string &device = "");
 
-/** Budget/guard knobs shared by every compile entry point. */
+/** Budget/guard knobs of one compile (CompilationService::compile
+    fills them from the request). */
 struct CompileConfig
 {
     ParseLimits limits;
@@ -134,19 +123,25 @@ struct CompileOutcome
  * The full compile pipeline for one input: parse, preprocess, build the
  * mapping (consulting @p store when given), map the qubit Hamiltonian
  * (when @p emit_qubit), and write every artifact into @p out_dir.
- * Shared by the single-input commands and every batch item.
+ *
+ * Never throws: a failure comes back as a Status with its own code —
+ * the registry's Status as built, and ParseError -> InvalidArgument,
+ * DeadlineExceededError -> DeadlineExceeded, CancelledError ->
+ * Cancelled, std::bad_alloc -> ResourceExhausted, any other exception
+ * -> Internal.
  *
  * The deadline (when set) covers construction AND qubit mapping; with
- * fallback a construction deadline degrades to the deterministic FH
- * ternary-tree construction (btt) — the fallback build itself runs
- * unbounded, since degradation must complete to be useful. A deadline
- * during qubit mapping always propagates (there is no cheaper way to
- * map the same Hamiltonian).
+ * fallback a construction deadline (or cancellation) degrades to the
+ * deterministic FH ternary-tree construction (btt) — the fallback build
+ * itself runs unbounded, since degradation must complete to be useful.
+ * A deadline during qubit mapping always propagates (there is no
+ * cheaper way to map the same Hamiltonian).
  */
-CompileOutcome compileInput(const std::string &path, InputFormat format,
-                            const std::string &kind,
-                            const std::string &out_dir, MappingStore *store,
-                            bool emit_qubit, const CompileConfig &config);
+StatusOr<CompileOutcome>
+compileInput(const std::string &path, InputFormat format,
+             const std::string &kind, const std::string &out_dir,
+             MappingStore *store, bool emit_qubit,
+             const CompileConfig &config);
 
 /** Create @p dir (and parents). @throws ParseError on failure. */
 void ensureOutDir(const std::string &dir);

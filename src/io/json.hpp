@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <istream>
 #include <locale>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -203,6 +204,14 @@ class JsonWriter
     bool empty_ = false;    //!< open container has no member yet
     bool afterKey_ = false; //!< next value completes an object member
 };
+
+/** @p value as JSON, or null when unset. */
+template <typename T>
+JsonValue
+optionalToJson(const std::optional<T> &value)
+{
+    return value ? JsonValue(*value) : JsonValue(nullptr);
+}
 
 /** Render a double with round-trip (17 significant digit) precision. */
 std::string jsonNumberToString(double value);

@@ -136,11 +136,6 @@ class Server
      */
     std::string handleFrame(const std::string &line);
 
-    /** The shared compilation core (tests inspect the store stack). */
-    CompilationService &service() { return service_; }
-
-    const ServerConfig &config() const { return config_; }
-
   private:
     struct Connection;
 

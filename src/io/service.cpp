@@ -1,9 +1,7 @@
 #include "io/service.hpp"
 
-#include <new>
 #include <utility>
 
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "device/device.hpp"
@@ -31,12 +29,6 @@ constexpr std::pair<Status::Code, const char *> kStatusCodes[] = {
     {Status::Code::Cancelled, "cancelled"},
     {Status::Code::ResourceExhausted, "resource_exhausted"},
 };
-
-JsonValue
-optionalU64(const std::optional<uint64_t> &v)
-{
-    return v ? JsonValue(*v) : JsonValue(nullptr);
-}
 
 std::optional<uint64_t>
 readOptionalU64(const JsonValue &doc, const std::string &key)
@@ -123,21 +115,19 @@ compileResponseToJson(const CompileResponse &resp)
     doc.add("majorana_monomials", resp.monomials);
     doc.add("content_hash", hashToHex(resp.contentHash));
     doc.add("num_qubits", resp.numQubits);
-    doc.add("pauli_weight", optionalU64(resp.pauliWeight));
-    doc.add("qubit_terms", optionalU64(resp.qubitTerms));
-    doc.add("max_imag_coeff", resp.maxImagCoeff
-                                  ? JsonValue(*resp.maxImagCoeff)
-                                  : JsonValue(nullptr));
-    doc.add("candidates", optionalU64(resp.candidates));
+    doc.add("pauli_weight", optionalToJson(resp.pauliWeight));
+    doc.add("qubit_terms", optionalToJson(resp.qubitTerms));
+    doc.add("max_imag_coeff", optionalToJson(resp.maxImagCoeff));
+    doc.add("candidates", optionalToJson(resp.candidates));
     // Added within v1: the device block is only emitted for device-aware
     // compiles, keeping every architecture-agnostic response (and the
     // daemon byte-identity bar over them) unchanged.
     if (!resp.device.empty()) {
         doc.add("device", resp.device);
-        doc.add("routed_cnots", optionalU64(resp.routedCnots));
-        doc.add("routed_u3", optionalU64(resp.routedU3));
-        doc.add("routed_depth", optionalU64(resp.routedDepth));
-        doc.add("routed_swaps", optionalU64(resp.routedSwaps));
+        doc.add("routed_cnots", optionalToJson(resp.routedCnots));
+        doc.add("routed_u3", optionalToJson(resp.routedU3));
+        doc.add("routed_depth", optionalToJson(resp.routedDepth));
+        doc.add("routed_swaps", optionalToJson(resp.routedSwaps));
     }
     doc.add("cache_hit", resp.cacheHit);
     doc.add("cache_tier", resp.cacheTier.empty()
@@ -239,11 +229,10 @@ statsToJson(const metrics::Snapshot &snap, const JsonValue &summary)
 // -------------------------------------------------------------- service
 
 CompilationService::CompilationService(ServiceConfig config)
-    : config_(std::move(config))
 {
-    if (!config_.cacheDir.empty())
-        disk_ = std::make_unique<MappingCache>(config_.cacheDir);
-    if (config_.memoryStore)
+    if (!config.cacheDir.empty())
+        disk_ = std::make_unique<MappingCache>(config.cacheDir);
+    if (config.memoryStore)
         tiered_ = std::make_unique<TieredMappingStore>(disk_.get());
 }
 
@@ -260,12 +249,8 @@ CompilationService::store()
 StatusOr<CompileResponse>
 CompilationService::compile(const CompileRequest &req)
 {
-    InputFormat format = InputFormat::Auto;
-    if (req.format == "ops")
-        format = InputFormat::Ops;
-    else if (req.format == "fcidump")
-        format = InputFormat::Fcidump;
-    else if (req.format != "auto")
+    const std::optional<InputFormat> format = parseInputFormat(req.format);
+    if (!format)
         return Status::invalidArgument("unknown format '" + req.format +
                                        "'");
     if (Status kind = MapperRegistry::instance().checkKind(req.mapping);
@@ -293,55 +278,41 @@ CompilationService::compile(const CompileRequest &req)
     // contract; only wall clock changes.
     ScopedParallelThreads jobs_gate(req.jobs);
 
-    try {
-        CompileOutcome res =
-            compileInput(req.path, format, req.mapping, req.outDir,
-                         store(), req.emitQubit, config);
-        CompileResponse resp;
-        resp.stem = res.problem.stem;
-        resp.inputFormat = res.problem.format;
-        resp.numModes = res.problem.numModes;
-        resp.fermionTerms = res.problem.fermionTerms;
-        resp.monomials = res.problem.poly.size();
-        resp.contentHash = res.problem.contentHash;
-        resp.numQubits = res.built.mapping.numQubits;
-        if (res.qubitMetrics) {
-            resp.pauliWeight = res.qubitMetrics->pauliWeight;
-            resp.qubitTerms = res.qubitMetrics->numTerms;
-            resp.maxImagCoeff = res.qubitMetrics->maxImagCoeff;
-        }
-        resp.candidates = res.built.metrics.candidates;
-        if (res.hardwareCost) {
-            resp.device = config.device;
-            resp.routedCnots = res.hardwareCost->cnots;
-            resp.routedU3 = res.hardwareCost->u3;
-            resp.routedDepth = res.hardwareCost->depth;
-            resp.routedSwaps = res.hardwareCost->swaps;
-        }
-        resp.cacheHit = res.built.metrics.cacheHit;
-        resp.cacheTier = res.built.metrics.cacheTier;
-        resp.degraded = res.degraded;
-        if (disk_ && disk_->wasQuarantined(res.problem.contentHash,
-                                           req.mapping))
-            resp.quarantinedCache = true;
-        resp.seconds = res.totalSeconds;
-        resp.cacheSeconds = res.built.metrics.cacheSeconds;
-        return resp;
-    } catch (const DeadlineError &e) {
-        return Status::deadlineExceeded(e.what());
-    } catch (const DeadlineExceededError &e) {
-        return Status::deadlineExceeded(e.what());
-    } catch (const CancelledError &e) {
-        return Status::cancelled(e.what());
-    } catch (const InternalError &e) {
-        return Status::internal(e.what());
-    } catch (const ParseError &e) {
-        return Status::invalidArgument(e.what());
-    } catch (const std::bad_alloc &) {
-        return Status::resourceExhausted("out of memory");
-    } catch (const std::exception &e) {
-        return Status::internal(e.what());
+    StatusOr<CompileOutcome> outcome =
+        compileInput(req.path, *format, req.mapping, req.outDir, store(),
+                     req.emitQubit, config);
+    if (!outcome.ok())
+        return outcome.status();
+    const CompileOutcome &res = outcome.value();
+    CompileResponse resp;
+    resp.stem = res.problem.stem;
+    resp.inputFormat = res.problem.format;
+    resp.numModes = res.problem.numModes;
+    resp.fermionTerms = res.problem.fermionTerms;
+    resp.monomials = res.problem.poly.size();
+    resp.contentHash = res.problem.contentHash;
+    resp.numQubits = res.built.mapping.numQubits;
+    if (res.qubitMetrics) {
+        resp.pauliWeight = res.qubitMetrics->pauliWeight;
+        resp.qubitTerms = res.qubitMetrics->numTerms;
+        resp.maxImagCoeff = res.qubitMetrics->maxImagCoeff;
     }
+    resp.candidates = res.built.metrics.candidates;
+    if (res.hardwareCost) {
+        resp.device = config.device;
+        resp.routedCnots = res.hardwareCost->cnots;
+        resp.routedU3 = res.hardwareCost->u3;
+        resp.routedDepth = res.hardwareCost->depth;
+        resp.routedSwaps = res.hardwareCost->swaps;
+    }
+    resp.cacheHit = res.built.metrics.cacheHit;
+    resp.cacheTier = res.built.metrics.cacheTier;
+    resp.degraded = res.degraded;
+    resp.quarantinedCache =
+        disk_ && disk_->wasQuarantined(res.problem.contentHash, req.mapping);
+    resp.seconds = res.totalSeconds;
+    resp.cacheSeconds = res.built.metrics.cacheSeconds;
+    return resp;
 }
 
 StatusOr<BatchOutcome>
@@ -368,7 +339,7 @@ CompilationService::compileBatch(const std::string &source,
     BatchOutcome outcome;
     outcome.results = compiler.run(std::move(items));
     for (const BatchItemResult &r : outcome.results)
-        if (!r.ok)
+        if (!r.ok())
             ++outcome.failed;
     outcome.report = BatchCompiler::reportDocument(outcome.results);
     outcome.stats = BatchCompiler::statsDocument(outcome.results);

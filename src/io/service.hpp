@@ -9,8 +9,9 @@
  * the io/driver pipeline, and speaks versioned, JSON-round-trippable
  * request/response structs plus the status and stats frame writers —
  * the `hattd` wire protocol v1 (docs/PROTOCOL.md).
- * Nothing here reads argv or writes diagnostics: the CLI front end
- * (io/cli) and any future daemon are thin shells over this surface.
+ * Nothing here reads argv or writes diagnostics: `hattc compile`, the
+ * `hattd` server (io/server) and every `hattc batch` item (io/batch)
+ * compile through the one entry point, compile().
  *
  *   CompilationService service({.cacheDir = "cache"});
  *   CompileRequest req;
@@ -23,8 +24,8 @@
  * what the build would produce).
  *
  * Errors are Status values, never exceptions: the CLI maps them to
- * sysexits through one table (io/cli's exitCodeForStatus), a daemon
- * would map them to protocol error codes.
+ * sysexits through one table (io/cli's exitCodeForStatus), the daemon
+ * to wire status codes (statusToJson), a batch to its report rows.
  */
 
 #include <cstdint>
@@ -36,7 +37,6 @@
 #include "common/metrics.hpp"
 #include "io/driver.hpp"
 #include "io/json.hpp"
-#include "io/limits.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/store.hpp"
 
@@ -152,43 +152,23 @@ struct BatchItem
 struct BatchItemResult
 {
     BatchItem item;
-    bool ok = false;
-    std::string error;   //!< diagnostic when !ok
-    /** The compile budget expired (report status "timeout"; implies
-        !ok — with --fallback construction degrades instead). */
-    bool timedOut = false;
-    /** Built, but the requested kind's search ran out of budget and
-        the deterministic fallback construction was used instead
-        (report status "degraded"; counts as succeeded). */
-    bool degraded = false;
-    /** Built, but a corrupt cache entry for this item's key was moved
-        to quarantine along the way (report status "quarantined_cache";
-        counts as succeeded — the mapping was recomputed cleanly). */
-    bool quarantinedCache = false;
+    /** The item's compile status: compile()'s, or AlreadyExists for a
+        duplicate key. A DeadlineExceeded/Cancelled item reports
+        "timeout", any other failure "error". */
+    Status status;
+    /** What compile() returned (meaningful iff status.ok()). Its
+        deterministic fields ride in batch_report.json, its cache
+        fields in batch_stats.json. */
+    CompileResponse response;
+    double seconds = 0.0; //!< item wall clock (batch_stats.json)
 
-    // Deterministic fields (batch_report.json).
-    std::string format;  //!< "ops" | "fcidump"
-    uint32_t numModes = 0;
-    size_t fermionTerms = 0;
-    size_t monomials = 0;
-    uint64_t contentHash = 0;
-    uint32_t numQubits = 0;
-    uint64_t pauliWeight = 0;
-    std::optional<uint64_t> candidates;
-    /** Canonical device name; empty = architecture-agnostic item. The
-        routed fields are set iff device is non-empty (deterministic —
-        they ride in batch_report.json, not the stats). */
-    std::string device;
-    std::optional<uint64_t> routedCnots;
-    std::optional<uint64_t> routedU3;
-    std::optional<uint64_t> routedDepth;
-    std::optional<uint64_t> routedSwaps;
-
-    // Volatile fields (batch_stats.json only — they differ between a
-    // cold and a warm run, or between machines).
-    bool cacheHit = false;
-    std::string cacheTier; //!< "memory" | "disk" | "" on a miss
-    double seconds = 0.0;
+    bool ok() const { return status.ok(); }
+    bool timedOut() const
+    {
+        return status.code() == Status::Code::DeadlineExceeded ||
+               status.code() == Status::Code::Cancelled;
+    }
+    const std::string &error() const { return status.message(); }
 };
 
 /** Batch-wide configuration. */
@@ -217,8 +197,9 @@ struct BatchOptions
         ScopedParallelThreads; 0 = inherit the pool configuration. */
     unsigned jobs = 0;
 
-    /** Hard input caps forwarded to every item's parser. */
-    ParseLimits limits;
+    /** Input term/mode caps of every item's request; 0 = default. */
+    uint64_t maxTerms = 0;
+    uint32_t maxModes = 0;
 
     /** Per-item compile budget in seconds; 0 = unbounded. Each work
         item gets its own deadline, so one pathological input cannot
@@ -297,21 +278,14 @@ class CompilationService
     StatusOr<BatchOutcome> compileBatch(const std::string &source,
                                         const BatchOptions &options);
 
+    /** The durable tier; null when ServiceConfig::cacheDir is empty. */
+    MappingCache *diskCache() { return disk_.get(); }
+
+  private:
     /** The store the registry consults: the memory tier when armed,
         else the bare disk cache; null when the service caches nothing. */
     MappingStore *store();
 
-    /** The durable tier; null when ServiceConfig::cacheDir is empty. */
-    MappingCache *diskCache() { return disk_.get(); }
-
-    /** The in-memory tier; null when ServiceConfig::memoryStore is
-        false. */
-    TieredMappingStore *memoryTier() { return tiered_.get(); }
-
-    const ServiceConfig &config() const { return config_; }
-
-  private:
-    ServiceConfig config_;
     std::unique_ptr<MappingCache> disk_;
     std::unique_ptr<TieredMappingStore> tiered_;
 };

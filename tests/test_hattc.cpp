@@ -768,10 +768,11 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
                                  item(dataFile("h2.ops")),
                                  item(dataFile("eq3.ops"))});
     ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_TRUE(results[1].ok);
-    EXPECT_FALSE(results[2].ok);
-    EXPECT_NE(results[2].error.find("duplicate"), std::string::npos);
+    EXPECT_TRUE(results[0].status.ok()) << results[0].status.message();
+    EXPECT_TRUE(results[1].status.ok()) << results[1].status.message();
+    EXPECT_EQ(results[2].status.code(), Status::Code::AlreadyExists);
+    EXPECT_NE(results[2].status.message().find("duplicate"),
+              std::string::npos);
     fs::remove_all(dir);
 }
 

@@ -9,6 +9,12 @@
  * hits while its batch_report.json stays byte-identical to the cold run
  * for HATT_THREADS ∈ {1, 4}.
  *
+ * Construction failures keep their Status code through compile(), the
+ * daemon's status frame and the batch row: two test-only mapper kinds
+ * throw std::bad_alloc and CancelledError from build(). This binary
+ * never enumerates the registry's kinds, so registering them here
+ * cannot leak into a kind listing.
+ *
  * The CI batch-smoke job also runs BatchReportFileForCiCompare with
  * HATT_SERVICE_REPORT_OUT set and byte-compares the written report
  * against the one the `hattc batch` CLI produced for the same corpus.
@@ -21,13 +27,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "common/parallel.hpp"
 #include "fermion/fermion_op.hpp"
 #include "io/batch.hpp"
 #include "io/cache.hpp"
 #include "io/serialize.hpp"
+#include "io/server.hpp"
 #include "io/service.hpp"
 #include "io/stream.hpp"
 #include "mapping/mapper.hpp"
@@ -590,6 +599,139 @@ TEST(TieredStore, RegistryReportsServingTier)
 
     // The served mappings are identical to the cold build.
     EXPECT_EQ(back->mapping.numQubits, cold->mapping.numQubits);
+    fs::remove_all(dir);
+}
+
+// ------------------------------------------------ status preservation
+
+/** A test-only kind whose construction throws @p Thrown. */
+template <typename Thrown> struct ThrowingMapper final : Mapper
+{
+    explicit ThrowingMapper(std::string name) : name_(std::move(name)) {}
+    const std::string &name() const override { return name_; }
+    const MapperCapabilities &capabilities() const override { return caps_; }
+    StatusOr<MappingResult>
+    build(const MappingRequest &) const override
+    {
+        throw Thrown();
+    }
+
+    std::string name_;
+    MapperCapabilities caps_;
+};
+
+/** The throwing kinds, registered once per process, with the Status
+    code and wire code each must surface as. */
+struct ThrowingKind
+{
+    const char *kind;
+    Status::Code code;
+    const char *wire;
+};
+
+const std::vector<ThrowingKind> &
+throwingKinds()
+{
+    static const std::vector<ThrowingKind> kinds = [] {
+        MapperRegistry &reg = MapperRegistry::instance();
+        EXPECT_TRUE(reg.add(std::make_unique<ThrowingMapper<std::bad_alloc>>(
+                                "test-oom"))
+                        .ok());
+        EXPECT_TRUE(reg.add(std::make_unique<ThrowingMapper<CancelledError>>(
+                                "test-cancel"))
+                        .ok());
+        return std::vector<ThrowingKind>{
+            {"test-cancel", Status::Code::Cancelled, "cancelled"},
+            {"test-oom", Status::Code::ResourceExhausted,
+             "resource_exhausted"},
+        };
+    }();
+    return kinds;
+}
+
+TEST(Service, ConstructionFailuresKeepTheirStatusCode)
+{
+    fs::path dir = scratchDir("throwing");
+    io::ServerConfig config;
+    config.outRoot = (dir / "srv").string();
+    io::Server server(config);
+    for (const ThrowingKind &t : throwingKinds()) {
+        SCOPED_TRACE(t.kind);
+        CompilationService service(ServiceConfig{});
+        CompileRequest req;
+        req.path = dataFile("h2.ops");
+        req.mapping = t.kind;
+        req.outDir = (dir / "out").string();
+        StatusOr<CompileResponse> res = service.compile(req);
+        ASSERT_FALSE(res.ok());
+        EXPECT_EQ(res.status().code(), t.code) << res.status().message();
+
+        // Over the wire: the daemon's status frame carries the code.
+        req.outDir = "w";
+        const JsonValue frame = JsonValue::parse(
+            server.handleFrame(io::compileRequestToJson(req).dump()));
+        EXPECT_EQ(frame.at("format").asString(), "hatt-status");
+        EXPECT_FALSE(frame.at("ok").asBool());
+        EXPECT_EQ(frame.at("code").asString(), t.wire);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Service, BatchRowsKeepConstructionStatusCodes)
+{
+    fs::path dir = scratchDir("throwingbatch");
+    const std::vector<ThrowingKind> &kinds = throwingKinds();
+    const std::string manifest = (dir / "manifest.txt").string();
+    {
+        std::ofstream os(manifest);
+        os << dataFile("h2.ops") << " test-oom,test-cancel\n";
+    }
+    CompilationService service(ServiceConfig{});
+    BatchOptions bopt;
+    bopt.outDir = (dir / "out").string();
+    StatusOr<BatchOutcome> outcome = service.compileBatch(manifest, bopt);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    ASSERT_EQ(outcome->results.size(), kinds.size());
+    EXPECT_EQ(outcome->failed, kinds.size());
+    // Rows sort by mapping: test-cancel, then test-oom.
+    const JsonValue &rows = outcome->report.at("inputs");
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        const io::BatchItemResult &r = outcome->results[i];
+        EXPECT_EQ(r.item.mapping, kinds[i].kind);
+        EXPECT_EQ(r.status.code(), kinds[i].code) << r.status.message();
+        // A cancelled item is a "timeout" row, like a deadline.
+        EXPECT_EQ(rows.at(i).at("status").asString(),
+                  kinds[i].code == Status::Code::Cancelled ? "timeout"
+                                                           : "error");
+        EXPECT_EQ(rows.at(i).at("error").asString(), r.status.message());
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Service, BatchDeviceSpellingIsCanonical)
+{
+    // compile() canonicalises the device name; a batch goes through
+    // compile(), so "Montreal" and "montreal" are the same batch.
+    fs::path dir = scratchDir("batchdevice");
+    std::vector<std::string> reports;
+    for (const char *spelling : {"montreal", "Montreal"}) {
+        SCOPED_TRACE(spelling);
+        CompilationService service(ServiceConfig{});
+        BatchOptions bopt;
+        bopt.outDir = (dir / std::to_string(reports.size())).string();
+        bopt.mappings = {"hatt", "jw"};
+        bopt.device = spelling;
+        StatusOr<BatchOutcome> outcome =
+            service.compileBatch(dataDir(), bopt);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+        EXPECT_EQ(outcome->failed, 0u);
+        for (const JsonValue &row : outcome->report.at("inputs").asArray())
+            EXPECT_EQ(row.at("device").asString(), "montreal");
+        // batch_report.json is this document, pretty-printed.
+        reports.push_back(outcome->report.dump(2));
+    }
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_EQ(reports[0], reports[1]);
     fs::remove_all(dir);
 }
 
