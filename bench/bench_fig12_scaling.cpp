@@ -5,8 +5,10 @@
  *    the stand-in for Fermihedral's exponential SAT growth;
  *  - HATT (unopt): Algorithm 1, O(N^4);
  *  - HATT: Algorithms 2+3, O(N^3).
- * Prints times and the fitted log-log slope of each curve, and emits
- * BENCH_fig12_scaling.json with per-configuration wall times.
+ * Then HATT alone on L x L Fermi-Hubbard lattices (L = 16, 32, 64, i.e.
+ * 512 to 8192 modes), the regime where construction dominates a
+ * compile. Prints times and the fitted log-log slope of each curve, and
+ * emits BENCH_fig12_scaling.json with per-configuration wall times.
  */
 
 #include <cmath>
@@ -14,6 +16,7 @@
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "models/chains.hpp"
+#include "models/hubbard.hpp"
 
 using namespace hatt;
 using namespace hatt::bench;
@@ -118,6 +121,31 @@ main()
     std::cout << "log-log slope HATT (>=16 modes): "
               << TablePrinter::num(fitSlope(tail(opt_pts)), 2)
               << " (paper: ~3)\n";
+
+    std::cout << "\n=== HATT construction on L x L Hubbard ===\n";
+    TablePrinter hub_table({"L", "Modes", "HATT (s)"});
+    std::vector<std::pair<double, double>> hub_pts;
+    for (uint32_t side : {16u, 32u, 64u}) {
+        const MajoranaPolynomial poly = MajoranaPolynomial::fromFermion(
+            hubbardModel({side, side, 1.0, 4.0}));
+        Timer t;
+        MappingResult r = buildMappingResult("hatt", poly);
+        const double secs = t.seconds();
+        hub_pts.emplace_back(poly.numModes(), std::max(secs, 1e-7));
+        json.add("hatt_hubbard_L" + std::to_string(side), secs,
+                 r.metrics.counters.at("predicted_weight"),
+                 r.metrics.candidates);
+        hub_table.addRow({std::to_string(side),
+                          std::to_string(poly.numModes()),
+                          TablePrinter::num(secs, 4)});
+    }
+    hub_table.print(std::cout);
+    std::cout << "log-log slope HATT Hubbard (512..8192 modes): "
+              << TablePrinter::num(fitSlope(hub_pts), 2) << "\n";
+    std::cout << "log-log slope HATT Hubbard (2048 -> 8192 modes): "
+              << TablePrinter::num(
+                     fitSlope({hub_pts[1], hub_pts[2]}), 2)
+              << "\n";
     std::cout << "wrote " << json.write() << "\n";
     return 0;
 }

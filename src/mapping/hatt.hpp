@@ -27,6 +27,11 @@
  *    preserving. Z-descendants found by walking the tree.
  *  - Algorithm 3 (vacuumPairing = true, descCache = true): same output as
  *    Algorithm 2 but with O(1) descZ / traverse-up maps, O(N^3) total.
+ *
+ * Both pairing variants cache each pair's score and, after a merge,
+ * re-score only the pairs the merge touched (docs/DESIGN.md, "HATT
+ * construction: incremental selection"); the selected trees are the
+ * seed's full-scan trees bit for bit.
  */
 
 #include <cstdint>
@@ -46,9 +51,10 @@ struct HattOptions
     bool vacuumPairing = true;
     /** Use the O(1) descZ/up caches (Alg. 3); requires vacuumPairing. */
     bool descCache = true;
-    /** Cooperative run budget, polled at candidate-scan chunk
-        boundaries and checked (throwing DeadlineExceededError /
-        CancelledError) at every step boundary on the calling thread. */
+    /** Cooperative run budget, checked (throwing DeadlineExceededError /
+        CancelledError) once per step on the calling thread. Algorithm 1
+        also polls it at candidate-scan chunk boundaries; the pairing
+        path (Algorithms 2/3) has no scan chunks. */
     RunLimits limits = {};
 };
 
@@ -57,7 +63,13 @@ struct HattStats
 {
     std::vector<uint64_t> stepWeights; //!< settled weight per qubit
     uint64_t predictedWeight = 0;      //!< sum of stepWeights
+    /** Candidate triples in the greedy search space. For the pairing
+        variants this is the seed's closed form sum_s (m_s-1)(m_s-2),
+        m_s = 2N+1-2s, not the work done. */
     uint64_t candidatesEvaluated = 0;
+    /** OX whose cached score was (re)computed by the pairing variants;
+        the two OX of a pair share one score. 0 for Algorithm 1. */
+    uint64_t oxRescored = 0;
     double seconds = 0.0;
 };
 

@@ -21,14 +21,20 @@ TermCounts::TermCounts(uint32_t max_id)
         words_ = 1;
 }
 
-uint64_t
-TermCounts::maskHash(uint32_t term) const
+void
+TermCounts::reserve(size_t terms)
 {
-    const uint64_t *m = maskOf(term);
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ words_;
-    for (uint32_t w = 0; w < words_; ++w)
-        h = splitmix64(h ^ m[w]);
-    return h;
+    bits_.reserve(terms * words_);
+    mult_.reserve(terms);
+    hash_.reserve(terms);
+    touch_stamp_.reserve(terms);
+    dedup_.reserve(terms);
+}
+
+uint64_t
+TermCounts::idKey(int id)
+{
+    return splitmix64(0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(id));
 }
 
 bool
@@ -124,31 +130,28 @@ TermCounts::addTerm(const std::vector<uint32_t> &support, int64_t mult)
     hash_.push_back(0);
     touch_stamp_.push_back(0);
     uint64_t *m = maskOf(term);
+    scratch_ids_.clear();
     for (uint32_t id : support) {
         assert(id < max_id_);
+        assert(scratch_ids_.empty() ||
+               scratch_ids_.back() < static_cast<int>(id));
         m[id / kWordBits] |= 1ULL << (id % kWordBits);
+        hash_[term] ^= idKey(static_cast<int>(id));
+        scratch_ids_.push_back(static_cast<int>(id));
     }
-    hash_[term] = maskHash(term);
-    if (!dedupInsert(term, mult)) {
+    // Counts are linear in the multiplicity, so a support folded into an
+    // equal one adds its counts just the same.
+    addCounts(scratch_ids_, mult);
+    if (dedupInsert(term, mult)) {
+        for (int id : scratch_ids_)
+            inv_[id].push_back(term);
+    } else {
         // Folded into an existing equal support: drop the tentative slot
         // (dedupInsert left it out of the dedup set).
         bits_.resize(bits_.size() - words_);
         mult_.pop_back();
         hash_.pop_back();
         touch_stamp_.pop_back();
-    }
-}
-
-void
-TermCounts::finalize()
-{
-    for (uint32_t t = 0; t < mult_.size(); ++t) {
-        if (mult_[t] == 0)
-            continue;
-        maskIds(t, scratch_ids_);
-        addCounts(scratch_ids_, mult_[t]);
-        for (int id : scratch_ids_)
-            inv_[id].push_back(t);
     }
 }
 
@@ -185,28 +188,31 @@ TermCounts::merge(int a, int b, int c, int parent)
         mult_[t] = 0;
 
         // Seed reduction rule: drop a/b/c, append parent iff odd count.
+        // The mask, its hash and its id list are updated in place; parent
+        // is the largest id, so the list stays ascending.
         uint64_t *m = maskOf(t);
         int present = 0;
-        for (int id : {a, b, c}) {
-            uint64_t bit = 1ULL << (id % kWordBits);
-            if (m[id / kWordBits] & bit) {
+        size_t kept_ids = 0;
+        for (int id : scratch_ids_) {
+            if (id == a || id == b || id == c) {
                 ++present;
-                m[id / kWordBits] &= ~bit;
+                m[id / kWordBits] &= ~(1ULL << (id % kWordBits));
+                hash_[t] ^= idKey(id);
+            } else {
+                scratch_ids_[kept_ids++] = id;
             }
         }
+        scratch_ids_.resize(kept_ids);
         assert(present > 0);
-        if (present & 1)
+        if (present & 1) {
             m[parent / kWordBits] |= 1ULL << (parent % kWordBits);
-
-        bool empty = true;
-        for (uint32_t w = 0; w < words_ && empty; ++w)
-            empty = m[w] == 0;
-        if (empty)
+            hash_[t] ^= idKey(parent);
+            scratch_ids_.push_back(parent);
+        }
+        if (scratch_ids_.empty())
             continue; // fully settled: contributes no further weight
 
-        hash_[t] = maskHash(t);
         const bool kept = dedupInsert(t, mult);
-        maskIds(t, scratch_ids_);
         addCounts(scratch_ids_, mult);
         if (kept && (present & 1))
             inv_[parent].push_back(t);

@@ -12,8 +12,9 @@
  * O(max_id^2) pair-count tables from scratch at every merge step; this
  * version stores each support as a fixed-width uint64_t bit mask in a flat
  * arena (stride = word count, i.e. a single inline word for <= 64 active
- * ids — no per-term allocation at any size), hashes masks with a
- * splitmix64 mix, and maintains the counts incrementally:
+ * ids — no per-term allocation at any size), hashes each support as the
+ * XOR of per-id splitmix64 keys (so a merge updates a hash in O(1)), and
+ * maintains the counts incrementally:
  *
  *  - cnt1[id]: summed multiplicity of terms containing id;
  *  - pair counts, stored sparsely as per-id adjacency hash maps (memory
@@ -48,11 +49,12 @@ class TermCounts
     uint32_t maxId() const { return max_id_; }
     uint32_t words() const { return words_; }
 
-    /** Add one initial term (ascending ids); call before finalize(). */
-    void addTerm(const std::vector<uint32_t> &support, int64_t mult = 1);
+    /** Pre-size the term arena for @p terms addTerm() calls. */
+    void reserve(size_t terms);
 
-    /** Build cnt1 / pair adjacency / inverted index from the terms. */
-    void finalize();
+    /** Add one initial term (ascending ids), counts included; call
+        before the first merge(). */
+    void addTerm(const std::vector<uint32_t> &support, int64_t mult = 1);
 
     /** Merge nodes (a, b, c) into @p parent, updating counts by deltas. */
     void merge(int a, int b, int c, int parent);
@@ -85,7 +87,8 @@ class TermCounts
     std::vector<std::pair<std::vector<int>, int64_t>> snapshot() const;
 
   private:
-    uint64_t maskHash(uint32_t term) const;
+    /** Hash key of one id; a support hashes to the XOR of its keys. */
+    static uint64_t idKey(int id);
     bool masksEqual(uint32_t lhs, uint32_t rhs) const;
     uint64_t *maskOf(uint32_t term) { return bits_.data() + size_t{term} * words_; }
     const uint64_t *
@@ -129,7 +132,7 @@ class TermCounts
 
     std::vector<uint64_t> bits_; //!< term masks, arena of stride words_
     std::vector<int64_t> mult_;  //!< per-term multiplicity; 0 = dead
-    std::vector<uint64_t> hash_; //!< cached mask hash per term
+    std::vector<uint64_t> hash_; //!< support hash per term (XOR of idKey)
 
     std::unordered_set<uint32_t, MaskSetHash, MaskSetEq> dedup_;
 

@@ -6,7 +6,10 @@
  *
  *  - a straight port of the seed buildHattMapping (vector-keyed support
  *    map, dense per-step recount, full triple scans) is compared
- *    tree-for-tree against the optimized implementation;
+ *    tree-for-tree against the optimized implementation, for all three
+ *    variants, on random, tie-heavy and Hubbard inputs (the pairing
+ *    variants select incrementally, so every input exercises cached
+ *    scores going stale across many merges);
  *  - recorded seed weights/string hashes for H2/LiH-scale inputs pin the
  *    outputs across future refactors;
  *  - TermCounts (incremental) is checked against recounting its snapshot;
@@ -21,8 +24,10 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "io/serialize.hpp"
 #include "io/stream.hpp"
@@ -248,31 +253,166 @@ sumHash(const PauliSum &sum)
     return h;
 }
 
+/** The three HATT variants: Algorithm 1, 2 (tree walks) and 3. */
+struct Variant
+{
+    const char *name;
+    bool pairing, descCache;
+};
+constexpr Variant kVariants[] = {
+    {"alg1", false, false}, {"alg2-walk", true, false}, {"alg3", true, true}};
+
+/** Build @p poly with variant @p v and compare it against the seed
+    reference: step weights, candidates, every child and every string. */
+void
+expectSeedParity(const MajoranaPolynomial &poly, const Variant &v,
+                 const std::string &label)
+{
+    SCOPED_TRACE(label + " " + v.name);
+    HattOptions opt;
+    opt.vacuumPairing = v.pairing;
+    opt.descCache = v.descCache;
+    HattResult fast = buildHattMapping(poly, opt);
+    RefResult ref = refBuildHatt(poly, v.pairing);
+
+    ASSERT_EQ(fast.stats.stepWeights, ref.stepWeights);
+    EXPECT_EQ(fast.stats.candidatesEvaluated, ref.candidates);
+    ASSERT_EQ(fast.tree.numNodes(), ref.tree.numNodes());
+    for (size_t id = 0; id < fast.tree.numNodes(); ++id)
+        EXPECT_EQ(fast.tree.node(id).child, ref.tree.node(id).child)
+            << "node " << id;
+    for (uint32_t i = 0; i < 2 * poly.numModes(); ++i)
+        EXPECT_EQ(fast.mapping.majorana[i].string, ref.strings[i])
+            << "majorana " << i;
+}
+
+/** Relabel modes from interleaved (2*site + spin) to blocked spin order
+    (spin * sites + site). */
+FermionHamiltonian
+blockedSpinOrder(const FermionHamiltonian &h)
+{
+    const uint32_t sites = h.numModes() / 2;
+    FermionHamiltonian out(h.numModes());
+    for (const FermionTerm &t : h.terms()) {
+        FermionTerm r = t;
+        for (FermionOp &op : r.ops)
+            op.mode = (op.mode % 2) * sites + op.mode / 2;
+        out.add(r);
+    }
+    return out;
+}
+
+/** Sum of one quadratic monomial M_i M_j per (i, j) in @p edges. */
+MajoranaPolynomial
+quadraticPolynomial(uint32_t num_modes,
+                    const std::vector<std::pair<uint32_t, uint32_t>> &edges)
+{
+    MajoranaPolynomial poly(num_modes);
+    for (auto [i, j] : edges)
+        poly.add(cplx{1.0, 0.0}, {std::min(i, j), std::max(i, j)});
+    poly.compress();
+    return poly;
+}
+
 // ------------------------------------------------------------- the tests
 
 TEST(PerfParity, MatchesSeedReferenceOnRandomPolynomials)
 {
     for (uint64_t seed : {101ull, 202ull, 303ull, 404ull}) {
         MajoranaPolynomial poly = randomMajoranaPolynomial(6, 17, seed);
-        for (bool pairing : {false, true}) {
-            HattOptions opt;
-            opt.vacuumPairing = pairing;
-            opt.descCache = pairing;
-            HattResult fast = buildHattMapping(poly, opt);
-            RefResult ref = refBuildHatt(poly, pairing);
-
-            ASSERT_EQ(fast.stats.stepWeights, ref.stepWeights)
-                << "seed=" << seed << " pairing=" << pairing;
-            EXPECT_EQ(fast.stats.candidatesEvaluated, ref.candidates);
-            for (size_t id = 0; id < fast.tree.numNodes(); ++id) {
-                EXPECT_EQ(fast.tree.node(id).child,
-                          ref.tree.node(id).child)
-                    << "node " << id;
-            }
-            for (uint32_t i = 0; i < 2 * poly.numModes(); ++i)
-                EXPECT_EQ(fast.mapping.majorana[i].string, ref.strings[i]);
-        }
+        for (const Variant &v : kVariants)
+            expectSeedParity(poly, v, "seed=" + std::to_string(seed));
     }
+}
+
+TEST(PerfParity, MatchesSeedReferenceAtLargerSizes)
+{
+    // Sparse (about 1.5 terms per mode) and dense (dozens per mode)
+    // random polynomials: many merges per run, so cached pair scores
+    // go stale in every way the incremental selector must catch.
+    struct Case
+    {
+        uint32_t modes, terms;
+        uint64_t seed;
+    };
+    const Case cases[] = {{16, 24, 1601}, {16, 400, 1602}, {20, 30, 2001},
+                          {20, 600, 2002}, {24, 36, 2401}, {24, 900, 2402}};
+    for (const Case &c : cases) {
+        MajoranaPolynomial poly =
+            randomMajoranaPolynomial(c.modes, c.terms, c.seed);
+        for (const Variant &v : kVariants)
+            expectSeedParity(poly, v,
+                             "rand" + std::to_string(c.modes) + "/" +
+                                 std::to_string(c.terms));
+    }
+}
+
+TEST(PerfParity, MatchesSeedReferenceOnTieHeavyPolynomials)
+{
+    // Every initial multiplicity is 1 and the structures are symmetric,
+    // so most steps tie on weight and on the Z choice: only (w, id) then
+    // (value, id) tie breaking reproduces the seed's scan order.
+    std::vector<std::pair<uint32_t, uint32_t>> complete, ring;
+    for (uint32_t i = 0; i < 16; ++i)
+        for (uint32_t j = i + 1; j < 16; ++j)
+            complete.emplace_back(i, j);
+    for (uint32_t i = 0; i < 40; ++i)
+        ring.emplace_back(i, (i + 1) % 40);
+    const std::pair<const char *, MajoranaPolynomial> cases[] = {
+        {"complete8", quadraticPolynomial(8, complete)},
+        {"ring20", quadraticPolynomial(20, ring)},
+        {"chain24", majoranaChain(24)},
+    };
+    for (const auto &[name, poly] : cases)
+        for (const Variant &v : kVariants)
+            expectSeedParity(poly, v, name);
+}
+
+TEST(PerfParity, MatchesSeedReferenceOnHubbard4x4BothSpinOrders)
+{
+    const FermionHamiltonian interleaved = hubbardModel({4, 4, 1.0, 4.0});
+    const std::pair<const char *, MajoranaPolynomial> cases[] = {
+        {"hub44-interleaved", MajoranaPolynomial::fromFermion(interleaved)},
+        {"hub44-blocked", MajoranaPolynomial::fromFermion(
+                              blockedSpinOrder(interleaved))},
+    };
+    for (const auto &[name, poly] : cases)
+        for (const Variant &v : kVariants)
+            expectSeedParity(poly, v, name);
+}
+
+TEST(PerfParity, PairingCandidatesAreTheClosedFormAndRescoringIsLocal)
+{
+    // candidates is the seed's search-space size, sum over steps of
+    // (m_s - 1) pairable OX times (m_s - 2) OZ, m_s = 2N + 1 - 2s; the
+    // incremental selector re-scores only the OX a merge touched, a
+    // small fraction of the sum_s (m_s - 1) a full scan would score.
+    const MajoranaPolynomial poly =
+        MajoranaPolynomial::fromFermion(hubbardModel({16, 16, 1.0, 4.0}));
+    const uint64_t n = poly.numModes();
+    ASSERT_EQ(n, 512u);
+    uint64_t closed = 0, scanned_ox = 0;
+    for (uint64_t s = 0; s < n; ++s) {
+        const uint64_t m = 2 * n + 1 - 2 * s;
+        closed += (m - 1) * (m - 2);
+        scanned_ox += m - 1;
+    }
+    EXPECT_EQ(closed, 179'218'944u);
+
+    for (bool desc_cache : {true, false}) {
+        metrics::reset();
+        HattOptions opt;
+        opt.descCache = desc_cache;
+        HattResult res = buildHattMapping(poly, opt);
+        EXPECT_EQ(res.stats.candidatesEvaluated, closed);
+        EXPECT_GT(res.stats.oxRescored, 0u);
+        EXPECT_LT(res.stats.oxRescored * 20, scanned_ox)
+            << res.stats.oxRescored << " of " << scanned_ox;
+        const metrics::Snapshot snap = metrics::snapshot();
+        EXPECT_EQ(snap.counters.at("hatt.candidates"), closed);
+        EXPECT_EQ(snap.counters.at("hatt.rescored"), res.stats.oxRescored);
+    }
+    metrics::reset();
 }
 
 TEST(PerfParity, MatchesRecordedSeedOutputs)
@@ -388,7 +528,6 @@ TEST(PerfParity, TermCountsMatchNaiveRecountThroughMerges)
             counts.addTerm(support);
             ref[std::vector<int>(support.begin(), support.end())] += 1;
         }
-        counts.finalize();
 
         std::vector<int> active(2 * n + 1);
         std::iota(active.begin(), active.end(), 0);
@@ -494,6 +633,7 @@ TEST(PerfParity, ResultsIdenticalAcrossThreadCounts)
 
     EXPECT_EQ(h1.stats.stepWeights, h4.stats.stepWeights);
     EXPECT_EQ(h1.stats.candidatesEvaluated, h4.stats.candidatesEvaluated);
+    EXPECT_EQ(h1.stats.oxRescored, h4.stats.oxRescored);
     ASSERT_EQ(h1.mapping.majorana.size(), h4.mapping.majorana.size());
     for (size_t i = 0; i < h1.mapping.majorana.size(); ++i)
         EXPECT_EQ(h1.mapping.majorana[i].string,
