@@ -21,6 +21,7 @@ using namespace hatt::bench;
 int
 main()
 {
+    bool trees_identical = true; // (a): walk and cached trees must match
     std::cout << "=== Ablation (a): descZ cache construction time ===\n";
     {
         TablePrinter table({"Modes", "walk (s)", "cached (s)",
@@ -38,6 +39,7 @@ main()
             for (size_t i = 0; i < a.mapping.majorana.size(); ++i)
                 same &= a.mapping.majorana[i].string ==
                         b.mapping.majorana[i].string;
+            trees_identical &= same;
             table.addRow({std::to_string(poly.numModes()),
                           TablePrinter::num(walk_s, 5),
                           TablePrinter::num(cache_s, 5),
@@ -132,6 +134,11 @@ main()
             }
         }
         table.print(std::cout);
+    }
+    if (!trees_identical) {
+        std::cerr << "ablation (a): walk (Alg. 2) and cached (Alg. 3) "
+                     "trees differ\n";
+        return 1;
     }
     return 0;
 }

@@ -13,15 +13,6 @@ namespace hatt::fault {
 
 namespace {
 
-uint64_t
-hashString(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s)
-        h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-}
-
 struct Rule
 {
     Action action = Action::None;
@@ -171,7 +162,7 @@ at(const char *point)
         return Action::None;
     if (rule.prob < 1.0) {
         const uint64_t h = splitmix64(
-            splitmix64(reg.seed ^ hashString(it->first)) ^ arrival);
+            splitmix64(reg.seed ^ fnv1a(it->first)) ^ arrival);
         const double u =
             static_cast<double>(h >> 11) * 0x1.0p-53; // [0,1)
         if (u >= rule.prob)

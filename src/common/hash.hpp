@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace hatt {
@@ -22,6 +23,16 @@ splitmix64(uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
+}
+
+/** 64-bit FNV-1a over the bytes of @p s (standard offset basis). */
+inline uint64_t
+fnv1a(std::string_view s)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s)
+        h = (h ^ c) * 0x100000001b3ULL;
+    return h;
 }
 
 /** Hash for index vectors (Majorana monomials keyed by their indices). */

@@ -374,7 +374,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
 
     TernaryTree tree(n);
 
-    // Reduced Hamiltonian: packed supports + incremental counts.
+    // Reduced Hamiltonian: sorted id-list supports + incremental counts.
     TermCounts counts(static_cast<uint32_t>(max_id));
     counts.reserve(poly.terms().size());
     for (const auto &t : poly.terms()) {

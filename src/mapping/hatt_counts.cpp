@@ -1,30 +1,22 @@
 #include "mapping/hatt_counts.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
+
+#include "common/hash.hpp"
 
 namespace hatt::detail {
 
-namespace {
-
-constexpr uint32_t kWordBits = 64;
-
-} // namespace
-
 TermCounts::TermCounts(uint32_t max_id)
-    : max_id_(max_id), words_((max_id + kWordBits - 1) / kWordBits),
-      dedup_(16, MaskSetHash{this}, MaskSetEq{this}), cnt1_(max_id, 0),
+    : dedup_(16, SupportHash{this}, SupportEq{this}), cnt1_(max_id, 0),
       adj_(max_id), inv_(max_id)
 {
-    if (words_ == 0)
-        words_ = 1;
 }
 
 void
 TermCounts::reserve(size_t terms)
 {
-    bits_.reserve(terms * words_);
+    start_.reserve(terms);
+    size_.reserve(terms);
     mult_.reserve(terms);
     hash_.reserve(terms);
     touch_stamp_.reserve(terms);
@@ -35,32 +27,6 @@ uint64_t
 TermCounts::idKey(int id)
 {
     return splitmix64(0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(id));
-}
-
-bool
-TermCounts::masksEqual(uint32_t lhs, uint32_t rhs) const
-{
-    const uint64_t *a = maskOf(lhs);
-    const uint64_t *b = maskOf(rhs);
-    for (uint32_t w = 0; w < words_; ++w)
-        if (a[w] != b[w])
-            return false;
-    return true;
-}
-
-void
-TermCounts::maskIds(uint32_t term, std::vector<int> &out) const
-{
-    out.clear();
-    const uint64_t *m = maskOf(term);
-    for (uint32_t w = 0; w < words_; ++w) {
-        uint64_t word = m[w];
-        while (word) {
-            int bit = std::countr_zero(word);
-            out.push_back(static_cast<int>(w * kWordBits) + bit);
-            word &= word - 1;
-        }
-    }
 }
 
 void
@@ -86,23 +52,13 @@ TermCounts::pairCount(int a, int b) const
 }
 
 void
-TermCounts::addCounts(const std::vector<int> &ids, int64_t mult)
+TermCounts::addCounts(std::span<const int> ids, int64_t mult)
 {
     for (size_t i = 0; i < ids.size(); ++i) {
         cnt1_[ids[i]] += mult;
-        for (size_t j = i + 1; j < ids.size(); ++j)
-            adjAdd(ids[i], ids[j], mult);
-    }
-}
-
-void
-TermCounts::removeCounts(const std::vector<int> &ids, int64_t mult)
-{
-    for (size_t i = 0; i < ids.size(); ++i) {
-        cnt1_[ids[i]] -= mult;
         assert(cnt1_[ids[i]] >= 0);
         for (size_t j = i + 1; j < ids.size(); ++j)
-            adjAdd(ids[i], ids[j], -mult);
+            adjAdd(ids[i], ids[j], mult);
     }
 }
 
@@ -112,7 +68,6 @@ TermCounts::dedupInsert(uint32_t term, int64_t mult)
     auto [it, inserted] = dedup_.insert(term);
     if (inserted) {
         mult_[term] = mult;
-        ++live_terms_;
         return true;
     }
     mult_[*it] += mult;
@@ -125,30 +80,30 @@ TermCounts::addTerm(const std::vector<uint32_t> &support, int64_t mult)
 {
     assert(!support.empty());
     const uint32_t term = static_cast<uint32_t>(mult_.size());
-    bits_.resize(bits_.size() + words_, 0);
+    start_.push_back(ids_.size());
+    size_.push_back(static_cast<uint32_t>(support.size()));
     mult_.push_back(0);
     hash_.push_back(0);
     touch_stamp_.push_back(0);
-    uint64_t *m = maskOf(term);
-    scratch_ids_.clear();
     for (uint32_t id : support) {
-        assert(id < max_id_);
-        assert(scratch_ids_.empty() ||
-               scratch_ids_.back() < static_cast<int>(id));
-        m[id / kWordBits] |= 1ULL << (id % kWordBits);
+        assert(id < cnt1_.size());
+        assert(ids_.size() == start_[term] ||
+               ids_.back() < static_cast<int>(id));
+        ids_.push_back(static_cast<int>(id));
         hash_[term] ^= idKey(static_cast<int>(id));
-        scratch_ids_.push_back(static_cast<int>(id));
     }
     // Counts are linear in the multiplicity, so a support folded into an
     // equal one adds its counts just the same.
-    addCounts(scratch_ids_, mult);
+    addCounts(supportOf(term), mult);
     if (dedupInsert(term, mult)) {
-        for (int id : scratch_ids_)
+        for (int id : supportOf(term))
             inv_[id].push_back(term);
     } else {
         // Folded into an existing equal support: drop the tentative slot
         // (dedupInsert left it out of the dedup set).
-        bits_.resize(bits_.size() - words_);
+        ids_.resize(start_[term]);
+        start_.pop_back();
+        size_.pop_back();
         mult_.pop_back();
         hash_.pop_back();
         touch_stamp_.pop_back();
@@ -158,20 +113,20 @@ TermCounts::addTerm(const std::vector<uint32_t> &support, int64_t mult)
 void
 TermCounts::merge(int a, int b, int c, int parent)
 {
-    assert(parent >= 0 && static_cast<uint32_t>(parent) < max_id_);
+    assert(parent >= 0 && static_cast<size_t>(parent) < cnt1_.size());
     ++stamp_;
 
     // Gather live terms whose support intersects {a, b, c}. The inverted
     // index may hold stale entries (dead terms, moved supports); filter by
-    // re-checking the mask bit.
+    // re-checking membership.
     scratch_terms_.clear();
     for (int id : {a, b, c}) {
         for (uint32_t t : inv_[id]) {
             if (t >= mult_.size() || mult_[t] == 0 ||
                 touch_stamp_[t] == stamp_)
                 continue;
-            const uint64_t *m = maskOf(t);
-            if (!(m[id / kWordBits] >> (id % kWordBits) & 1))
+            std::span<const int> ids = supportOf(t);
+            if (!std::binary_search(ids.begin(), ids.end(), id))
                 continue;
             touch_stamp_[t] = stamp_;
             scratch_terms_.push_back(t);
@@ -181,39 +136,37 @@ TermCounts::merge(int a, int b, int c, int parent)
 
     for (uint32_t t : scratch_terms_) {
         const int64_t mult = mult_[t];
-        maskIds(t, scratch_ids_);
-        removeCounts(scratch_ids_, mult);
+        addCounts(supportOf(t), -mult);
         dedup_.erase(t);
-        --live_terms_;
         mult_[t] = 0;
 
         // Seed reduction rule: drop a/b/c, append parent iff odd count.
-        // The mask, its hash and its id list are updated in place; parent
-        // is the largest id, so the list stays ascending.
-        uint64_t *m = maskOf(t);
+        // The support and its hash are rewritten in place; at least one id
+        // is dropped and parent is the largest id, so the list stays
+        // ascending within its slot.
+        std::span<int> ids = supportOf(t);
         int present = 0;
-        size_t kept_ids = 0;
-        for (int id : scratch_ids_) {
+        uint32_t kept_ids = 0;
+        for (int id : ids) {
             if (id == a || id == b || id == c) {
                 ++present;
-                m[id / kWordBits] &= ~(1ULL << (id % kWordBits));
                 hash_[t] ^= idKey(id);
             } else {
-                scratch_ids_[kept_ids++] = id;
+                ids[kept_ids++] = id;
             }
         }
-        scratch_ids_.resize(kept_ids);
         assert(present > 0);
         if (present & 1) {
-            m[parent / kWordBits] |= 1ULL << (parent % kWordBits);
+            assert(kept_ids == 0 || ids[kept_ids - 1] < parent);
+            ids[kept_ids++] = parent;
             hash_[t] ^= idKey(parent);
-            scratch_ids_.push_back(parent);
         }
-        if (scratch_ids_.empty())
+        size_[t] = kept_ids;
+        if (kept_ids == 0)
             continue; // fully settled: contributes no further weight
 
         const bool kept = dedupInsert(t, mult);
-        addCounts(scratch_ids_, mult);
+        addCounts(supportOf(t), mult);
         if (kept && (present & 1))
             inv_[parent].push_back(t);
         // When folded into an existing term, that term already has inverted
@@ -225,12 +178,11 @@ std::vector<std::pair<std::vector<int>, int64_t>>
 TermCounts::snapshot() const
 {
     std::vector<std::pair<std::vector<int>, int64_t>> out;
-    std::vector<int> ids;
     for (uint32_t t = 0; t < mult_.size(); ++t) {
         if (mult_[t] == 0)
             continue;
-        maskIds(t, ids);
-        out.emplace_back(ids, mult_[t]);
+        std::span<const int> ids = supportOf(t);
+        out.emplace_back(std::vector<int>(ids.begin(), ids.end()), mult_[t]);
     }
     std::sort(out.begin(), out.end());
     return out;

@@ -3,18 +3,18 @@
 
 /**
  * @file
- * Packed-support term multiset with incremental occurrence counts — the
+ * Sparse-support term multiset with incremental occurrence counts — the
  * data engine behind buildHattMapping's candidate scans.
  *
  * The reduced Hamiltonian is a multiset of node-support sets over ids
  * 0 .. max_id-1 (leaves + internal nodes). The seed implementation keyed a
  * hash map by sorted std::vector<int> supports and re-accumulated dense
  * O(max_id^2) pair-count tables from scratch at every merge step; this
- * version stores each support as a fixed-width uint64_t bit mask in a flat
- * arena (stride = word count, i.e. a single inline word for <= 64 active
- * ids — no per-term allocation at any size), hashes each support as the
- * XOR of per-id splitmix64 keys (so a merge updates a hash in O(1)), and
- * maintains the counts incrementally:
+ * version stores each support as its ascending id list in one flat arena
+ * (per-term start and length, so storage is O(total support length) at
+ * any max_id), hashes each support as the XOR of per-id splitmix64 keys
+ * (so a merge updates a hash in O(1)), and maintains the counts
+ * incrementally:
  *
  *  - cnt1[id]: summed multiplicity of terms containing id;
  *  - pair counts, stored sparsely as per-id adjacency hash maps (memory
@@ -26,30 +26,29 @@
  * merge(a, b, c, parent) applies exactly the seed's reduction rule: drop
  * a/b/c from each intersecting support, append parent iff an odd number
  * were present, fold equal supports together, drop emptied terms — and
- * applies the matching count deltas for only those terms.
+ * applies the matching count deltas for only those terms. Each support is
+ * rewritten in place: at least one id is dropped and parent is the
+ * largest id so far, so the list never grows and stays ascending.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/hash.hpp"
-
 namespace hatt::detail {
 
-/** Term multiset over packed supports with incremental counts. */
+/** Term multiset over sorted id-list supports with incremental counts. */
 class TermCounts
 {
   public:
     explicit TermCounts(uint32_t max_id);
 
-    uint32_t maxId() const { return max_id_; }
-    uint32_t words() const { return words_; }
-
-    /** Pre-size the term arena for @p terms addTerm() calls. */
+    /** Pre-size the per-term arrays for @p terms addTerm() calls. */
     void reserve(size_t terms);
 
     /** Add one initial term (ascending ids), counts included; call
@@ -80,61 +79,59 @@ class TermCounts
         return adj_[id];
     }
 
-    /** Number of live terms (distinct supports with mult > 0). */
-    size_t liveTerms() const { return live_terms_; }
-
     /** Sorted (support, mult) snapshot, for tests and debugging. */
     std::vector<std::pair<std::vector<int>, int64_t>> snapshot() const;
 
   private:
     /** Hash key of one id; a support hashes to the XOR of its keys. */
     static uint64_t idKey(int id);
-    bool masksEqual(uint32_t lhs, uint32_t rhs) const;
-    uint64_t *maskOf(uint32_t term) { return bits_.data() + size_t{term} * words_; }
-    const uint64_t *
-    maskOf(uint32_t term) const
+
+    std::span<int>
+    supportOf(uint32_t term)
     {
-        return bits_.data() + size_t{term} * words_;
+        return {ids_.data() + start_[term], size_[term]};
+    }
+    std::span<const int>
+    supportOf(uint32_t term) const
+    {
+        return {ids_.data() + start_[term], size_[term]};
     }
 
-    /** Collect the set bit ids of @p term into @p out (cleared first). */
-    void maskIds(uint32_t term, std::vector<int> &out) const;
-
-    void addCounts(const std::vector<int> &ids, int64_t mult);
-    void removeCounts(const std::vector<int> &ids, int64_t mult);
+    /** Add @p mult (negative to remove) to the counts of one support. */
+    void addCounts(std::span<const int> ids, int64_t mult);
     void adjAdd(int a, int b, int64_t mult);
 
     /**
-     * Dedup-insert the mask already written at term slot @p term: either
-     * keeps it (returns true) or folds its @p mult into an equal live term
-     * and kills the slot (returns false).
+     * Dedup-insert the support already written at term slot @p term:
+     * either keeps it (returns true) or folds its @p mult into an equal
+     * live term and kills the slot (returns false).
      */
     bool dedupInsert(uint32_t term, int64_t mult);
 
-    struct MaskSetHash
+    struct SupportHash
     {
         const TermCounts *owner;
         size_t operator()(uint32_t t) const { return owner->hash_[t]; }
     };
-    struct MaskSetEq
+    struct SupportEq
     {
         const TermCounts *owner;
         bool
         operator()(uint32_t a, uint32_t b) const
         {
-            return owner->masksEqual(a, b);
+            // Sized ranges: compares lengths first, then the ids.
+            return std::ranges::equal(owner->supportOf(a),
+                                      owner->supportOf(b));
         }
     };
 
-    uint32_t max_id_;
-    uint32_t words_;
-    size_t live_terms_ = 0;
-
-    std::vector<uint64_t> bits_; //!< term masks, arena of stride words_
+    std::vector<int> ids_;       //!< all supports, ascending per term
+    std::vector<size_t> start_;  //!< per-term offset into ids_
+    std::vector<uint32_t> size_; //!< per-term support length
     std::vector<int64_t> mult_;  //!< per-term multiplicity; 0 = dead
     std::vector<uint64_t> hash_; //!< support hash per term (XOR of idKey)
 
-    std::unordered_set<uint32_t, MaskSetHash, MaskSetEq> dedup_;
+    std::unordered_set<uint32_t, SupportHash, SupportEq> dedup_;
 
     std::vector<int64_t> cnt1_;
     std::vector<std::unordered_map<int, int64_t>> adj_;
@@ -143,7 +140,6 @@ class TermCounts
     std::vector<uint32_t> touch_stamp_; //!< per-term stamp for merge dedup
     uint32_t stamp_ = 0;
 
-    std::vector<int> scratch_ids_;
     std::vector<uint32_t> scratch_terms_;
 };
 

@@ -331,18 +331,6 @@ registerBuiltinMappers(MapperRegistry &reg)
     device::registerDeviceMappers(reg); // bonsai + treespilation
 }
 
-/** FNV-1a over a string (the same idiom io uses for content hashing). */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 /**
  * The cache key: the canonical content hash with the request's option
  * bag folded in, so two requests for the same Hamiltonian that differ

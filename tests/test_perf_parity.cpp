@@ -1,6 +1,6 @@
 /**
  * @file
- * Guards for the high-throughput construction engine: the packed-support /
+ * Guards for the high-throughput construction engine: the sparse-support /
  * incremental-count / delta-evaluation hot paths must agree EXACTLY with
  * naive full re-evaluation references and with recorded seed outputs.
  *
@@ -509,61 +509,73 @@ TEST(PerfParity, RegistryBuildReproducesRecordedSeedOutputs)
 
 TEST(PerfParity, TermCountsMatchNaiveRecountThroughMerges)
 {
-    for (uint64_t seed : {7ull, 8ull, 9ull}) {
-        Rng rng(seed);
-        const uint32_t n = 6;
-        const uint32_t max_id = 3 * n + 1;
+    // n = 40 reaches ids past 64 (max_id 121) with supports of ~8 ids.
+    struct Size
+    {
+        uint32_t n;
+        double density;
+    };
+    for (Size size : {Size{6, 0.3}, Size{40, 0.1}}) {
+        for (uint64_t seed : {7ull, 8ull, 9ull}) {
+            Rng rng(seed);
+            const uint32_t n = size.n;
+            const uint32_t max_id = 3 * n + 1;
 
-        // Random initial supports over the 2N+1 leaves.
-        detail::TermCounts counts(max_id);
-        RefSupportMap ref;
-        for (int t = 0; t < 30; ++t) {
+            // Random initial supports over the 2N+1 leaves; every fifth term
+            // repeats the previous support, so addTerm folds duplicates.
+            detail::TermCounts counts(max_id);
+            RefSupportMap ref;
             std::vector<uint32_t> support;
-            for (uint32_t id = 0; id < 2 * n; ++id)
-                if (rng.chance(0.3))
-                    support.push_back(id);
-            if (support.empty())
-                support.push_back(
-                    static_cast<uint32_t>(rng.nextInt(2 * n)));
-            counts.addTerm(support);
-            ref[std::vector<int>(support.begin(), support.end())] += 1;
-        }
-
-        std::vector<int> active(2 * n + 1);
-        std::iota(active.begin(), active.end(), 0);
-
-        auto check = [&]() {
-            // Snapshot must equal the reference multiset...
-            auto snap = counts.snapshot();
-            std::vector<std::pair<std::vector<int>, int64_t>> want(
-                ref.begin(), ref.end());
-            ASSERT_EQ(snap, want);
-            // ...and incremental counts must equal recounting it.
-            RefCounts rc(max_id);
-            rc.accumulate(ref);
-            for (uint32_t a = 0; a < max_id; ++a) {
-                ASSERT_EQ(counts.count1(a), rc.cnt1[a]) << "id " << a;
-                for (uint32_t b = a + 1; b < max_id; ++b)
-                    ASSERT_EQ(counts.pairCount(a, b), rc.pair(a, b))
-                        << a << "," << b;
+            for (int t = 0; t < 30; ++t) {
+                if (t % 5 != 4) {
+                    support.clear();
+                    for (uint32_t id = 0; id < 2 * n; ++id)
+                        if (rng.chance(size.density))
+                            support.push_back(id);
+                    if (support.empty())
+                        support.push_back(
+                            static_cast<uint32_t>(rng.nextInt(2 * n)));
+                }
+                counts.addTerm(support);
+                ref[std::vector<int>(support.begin(), support.end())] += 1;
             }
-        };
 
-        check();
-        int parent = static_cast<int>(2 * n + 1);
-        while (active.size() > 1) {
-            // Merge a random triple, as the construction loop would.
-            std::vector<int> picked;
-            for (int k = 0; k < 3; ++k) {
-                size_t idx = rng.nextInt(active.size());
-                picked.push_back(active[idx]);
-                active.erase(active.begin() + static_cast<long>(idx));
-            }
-            std::sort(picked.begin(), picked.end());
-            counts.merge(picked[0], picked[1], picked[2], parent);
-            ref = refReduce(ref, picked[0], picked[1], picked[2], parent);
-            active.push_back(parent++);
+            std::vector<int> active(2 * n + 1);
+            std::iota(active.begin(), active.end(), 0);
+
+            auto check = [&]() {
+                // Snapshot must equal the reference multiset...
+                auto snap = counts.snapshot();
+                std::vector<std::pair<std::vector<int>, int64_t>> want(
+                    ref.begin(), ref.end());
+                ASSERT_EQ(snap, want);
+                // ...and incremental counts must equal recounting it.
+                RefCounts rc(max_id);
+                rc.accumulate(ref);
+                for (uint32_t a = 0; a < max_id; ++a) {
+                    ASSERT_EQ(counts.count1(a), rc.cnt1[a]) << "id " << a;
+                    for (uint32_t b = a + 1; b < max_id; ++b)
+                        ASSERT_EQ(counts.pairCount(a, b), rc.pair(a, b))
+                            << a << "," << b;
+                }
+            };
+
             check();
+            int parent = static_cast<int>(2 * n + 1);
+            while (active.size() > 1) {
+                // Merge a random triple, as the construction loop would.
+                std::vector<int> picked;
+                for (int k = 0; k < 3; ++k) {
+                    size_t idx = rng.nextInt(active.size());
+                    picked.push_back(active[idx]);
+                    active.erase(active.begin() + static_cast<long>(idx));
+                }
+                std::sort(picked.begin(), picked.end());
+                counts.merge(picked[0], picked[1], picked[2], parent);
+                ref = refReduce(ref, picked[0], picked[1], picked[2], parent);
+                active.push_back(parent++);
+                check();
+            }
         }
     }
 }
