@@ -9,9 +9,7 @@
  * collects the metrics every table reports.
  */
 
-#include <fstream>
 #include <iostream>
-#include <locale>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +21,8 @@
 #include "common/timer.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
+#include "io/json.hpp"
+#include "io/serialize.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/search.hpp"
 
@@ -85,41 +85,29 @@ class JsonReporter
     std::string
     write() const
     {
+        io::JsonValue records = io::JsonValue::array();
+        for (const Record &r : records_) {
+            io::JsonValue rec = io::JsonValue::object();
+            rec.add("name", r.name);
+            rec.add("seconds", r.seconds);
+            rec.add("pauli_weight", io::optionalToJson(r.pauliWeight));
+            rec.add("candidates", io::optionalToJson(r.candidates));
+            if (r.cnots) {
+                rec.add("cnots", *r.cnots);
+                rec.add("depth", *r.depth);
+                rec.add("swaps", *r.swaps);
+            }
+            records.push(std::move(rec));
+        }
+        io::JsonValue doc = io::JsonValue::object();
+        doc.add("benchmark", benchmark_);
+        doc.add("records", std::move(records));
+
         const std::string file = "BENCH_" + benchmark_ + ".json";
-        std::ofstream os(file);
-        if (!os) {
-            std::cerr << "JsonReporter: cannot open " << file
-                      << " for writing\n";
-            return "";
-        }
-        // JSON is C-locale text; a comma-decimal or grouping locale
-        // would corrupt the seconds/weight fields.
-        os.imbue(std::locale::classic());
-        os << "{\n  \"benchmark\": \"" << benchmark_ << "\",\n"
-           << "  \"records\": [\n";
-        for (size_t i = 0; i < records_.size(); ++i) {
-            const Record &r = records_[i];
-            os << "    {\"name\": \"" << r.name << "\", \"seconds\": "
-               << r.seconds;
-            os << ", \"pauli_weight\": ";
-            if (r.pauliWeight)
-                os << *r.pauliWeight;
-            else
-                os << "null";
-            os << ", \"candidates\": ";
-            if (r.candidates)
-                os << *r.candidates;
-            else
-                os << "null";
-            if (r.cnots)
-                os << ", \"cnots\": " << *r.cnots << ", \"depth\": "
-                   << *r.depth << ", \"swaps\": " << *r.swaps;
-            os << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
-        }
-        os << "  ]\n}\n";
-        os.flush();
-        if (!os.good()) {
-            std::cerr << "JsonReporter: write to " << file << " failed\n";
+        try {
+            io::saveJsonFile(file, doc);
+        } catch (const io::ParseError &e) {
+            std::cerr << "JsonReporter: " << e.what() << "\n";
             return "";
         }
         return file;

@@ -11,6 +11,8 @@
  */
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "chem/molecule.hpp"
@@ -47,6 +49,14 @@ runCase(const char *label, const MoleculeSpec &spec, uint32_t trajectories)
     const double p2_grid[] = {1e-4, 3.16e-4, 1e-3};
 
     for (const auto &[name, map] : mappings) {
+        std::optional<PreparedState> prep;
+        try {
+            prep = prepareOccupationState(map, occupation);
+        } catch (const std::invalid_argument &) {
+            // Not vacuum-preserving: there is no HF state to evolve.
+            table.addRow({name, "n/a", "n/a", "n/a", "n/a"});
+            continue;
+        }
         PauliSum hq = mapToQubits(poly, map);
         PauliSum ordered = scheduleTerms(hq, ScheduleKind::Lexicographic);
         EvolutionOptions evo;
@@ -54,9 +64,7 @@ runCase(const char *label, const MoleculeSpec &spec, uint32_t trajectories)
         Circuit circ = evolutionCircuit(ordered, evo);
         optimizeCircuit(circ);
 
-        PreparedState prep = prepareOccupationState(map, occupation);
-        const double theory =
-            prep.state.expectation(hq).real();
+        const double theory = prep->state.expectation(hq).real();
 
         Rng rng(0xF16 + std::hash<std::string>{}(name));
         for (double p1 : p1_grid) {
@@ -65,7 +73,7 @@ runCase(const char *label, const MoleculeSpec &spec, uint32_t trajectories)
                 noise.p1 = p1;
                 noise.p2 = p2;
                 auto energies = trajectoryEnergies(
-                    circ, prep.state, hq, noise, trajectories, rng);
+                    circ, prep->state, hq, noise, trajectories, rng);
                 MeanVar mv = meanVariance(energies);
                 table.addRow({name, TablePrinter::num(p1, 6),
                               TablePrinter::num(p2, 6),

@@ -7,6 +7,8 @@
  */
 
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 
 #include "bench_common.hpp"
 #include "chem/molecule.hpp"
@@ -41,6 +43,14 @@ main()
 
     double theory = 0.0;
     for (const auto &[name, map] : mappings) {
+        std::optional<PreparedState> prep;
+        try {
+            prep = prepareOccupationState(map, occupation);
+        } catch (const std::invalid_argument &) {
+            // Not vacuum-preserving: there is no HF state to measure.
+            table.addRow({name, "n/a", "n/a", "n/a"});
+            continue;
+        }
         PauliSum hq = mapToQubits(poly, map);
         PauliSum ordered = scheduleTerms(hq, ScheduleKind::Lexicographic);
         EvolutionOptions evo;
@@ -48,8 +58,7 @@ main()
         Circuit circ = evolutionCircuit(ordered, evo);
         optimizeCircuit(circ);
 
-        PreparedState prep = prepareOccupationState(map, occupation);
-        theory = prep.state.expectation(hq).real();
+        theory = prep->state.expectation(hq).real();
 
         EstimationOptions opt;
         opt.shotsPerGroup = shots;
@@ -59,7 +68,7 @@ main()
         std::vector<double> estimates;
         for (uint32_t r = 0; r < repetitions; ++r)
             estimates.push_back(
-                estimateEnergy(circ, prep.state, hq, opt, rng));
+                estimateEnergy(circ, prep->state, hq, opt, rng));
         MeanVar mv = meanVariance(estimates);
         table.addRow({name, TablePrinter::num(mv.mean, 4),
                       TablePrinter::num(mv.variance, 5),

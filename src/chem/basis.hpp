@@ -34,8 +34,6 @@ struct BasisFunction
     int lx = 0, ly = 0, lz = 0;
     std::vector<double> exps;
     std::vector<double> coefs; //!< primitive-normalized coefficients
-
-    int totalL() const { return lx + ly + lz; }
 };
 
 /** Supported basis families. */

@@ -64,12 +64,6 @@ moleculeElectronCount(const std::string &name)
     return n;
 }
 
-std::vector<std::string>
-availableMolecules()
-{
-    return {"H2", "LiH", "NH", "BeH2", "H2O", "CH4", "O2", "NaF", "CO2"};
-}
-
 MolecularProblem
 buildMolecule(const MoleculeSpec &spec)
 {

@@ -47,9 +47,6 @@ uint32_t moleculeElectronCount(const std::string &name);
 /** Run the full pipeline for @p spec. */
 MolecularProblem buildMolecule(const MoleculeSpec &spec);
 
-/** Names of all built-in molecules. */
-std::vector<std::string> availableMolecules();
-
 } // namespace hatt
 
 #endif // HATT_CHEM_MOLECULE_HPP

@@ -1,7 +1,5 @@
 #include "common/deadline.hpp"
 
-#include <limits>
-
 #include "common/metrics.hpp"
 
 namespace hatt {
@@ -16,16 +14,6 @@ Deadline::after(double seconds)
                 std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(seconds));
     return d;
-}
-
-double
-Deadline::remainingSeconds() const
-{
-    if (!expiry_)
-        return std::numeric_limits<double>::infinity();
-    const double left =
-        std::chrono::duration<double>(*expiry_ - Clock::now()).count();
-    return left > 0.0 ? left : 0.0;
 }
 
 void

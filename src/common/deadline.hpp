@@ -92,9 +92,6 @@ class Deadline
         return expiry_ && Clock::now() >= *expiry_;
     }
 
-    /** Seconds left; +inf when unbounded, 0 when already expired. */
-    double remainingSeconds() const;
-
   private:
     using Clock = std::chrono::steady_clock;
     std::optional<Clock::time_point> expiry_;

@@ -94,7 +94,7 @@ isCacheTmpFile(const std::string &name)
 }
 
 /**
- * An entry file matches exactly the names store() creates:
+ * An entry file matches exactly the names save() creates:
  * <16 lowercase hex>-<kind>.json. Anything else in the directory —
  * index.json, temp files, and above all unrelated user files when the
  * cache path is mistargeted at an output directory — is never treated
@@ -138,7 +138,7 @@ class FileLock
         Timer wait;
         fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
         if (fd_ < 0)
-            return; // unwritable dir: store() will surface the real error
+            return; // unwritable dir: save() will fail on its own
         int delay_ms = 1;
         for (int attempt = 0; attempt < 8; ++attempt) {
             if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) {
@@ -231,8 +231,8 @@ MappingCache::recordUse(const std::string &file) const
     slot = std::max(slot, now);
 }
 
-std::optional<CachedMapping>
-MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
+std::optional<MappingStore::Entry>
+MappingCache::load(uint64_t content_hash, const std::string &kind)
 {
     trace::Span span("cache", "lookup");
     const std::string path = entryPath(content_hash, kind);
@@ -245,7 +245,7 @@ MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
     // treated as a miss so the caller recomputes — it must not kill a
     // whole batch run. The damaged file is moved into quarantine/ so it
     // is never re-read, stays available for post-mortem until the next
-    // gc(), and the recompute's store() recreates a clean entry. A
+    // gc(), and the recompute's save() recreates a clean entry. A
     // key-mismatched entry (hash collision) is healthy and stays put.
     try {
         JsonValue doc = loadJsonFile(path);
@@ -264,7 +264,7 @@ MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
             doc.at("kind").asString() != kind)
             return std::nullopt;
 
-        CachedMapping hit;
+        MappingStore::Entry hit;
         hit.mapping = mappingFromJson(doc.at("mapping"));
         if (const JsonValue *tree = doc.find("tree"))
             hit.tree = treeFromJson(*tree);
@@ -272,6 +272,7 @@ MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
             if (cand->isNumber())
                 hit.candidates = static_cast<uint64_t>(
                     cand->asInt(0, INT64_MAX));
+        hit.tier = "disk";
         recordUse(fs::path(path).filename().string());
         return hit;
     } catch (const std::exception &) {
@@ -332,89 +333,65 @@ MappingCache::wasQuarantined(uint64_t content_hash,
 }
 
 void
-MappingCache::store(uint64_t content_hash, const std::string &kind,
-                    const FermionQubitMapping &mapping,
-                    const TernaryTree *tree,
-                    std::optional<uint64_t> candidates)
-{
-    trace::Span span("cache", "store");
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec)
-        throw ParseError("cannot create cache directory " + dir_ + ": " +
-                         ec.message());
-
-    JsonValue doc = JsonValue::object();
-    doc.add("format", "hatt-cache");
-    doc.add("version", kCacheVersion);
-    doc.add("content_hash", hashToHex(content_hash));
-    doc.add("kind", kind);
-    doc.add("mapping", mappingToJson(mapping));
-    if (tree)
-        doc.add("tree", treeToJson(*tree));
-    if (candidates)
-        doc.add("candidates", *candidates);
-
-    // Serialize concurrent writers (advisory, best-effort on
-    // contention — see FileLock).
-    FileLock lock((fs::path(dir_) / kLockFile).string());
-
-    // Atomic, durable publish: write a writer-unique temp file in the
-    // same directory, fsync it, rename over the entry, fsync the
-    // directory — concurrent writers of the same key each publish a
-    // complete file, last rename wins, and a power cut can only leave
-    // the old entry or the new one, never a torn file under the live
-    // name.
-    static std::atomic<uint64_t> counter{0};
-    const std::string path = entryPath(content_hash, kind);
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + std::to_string(counter.fetch_add(1));
-    // Injection point: Throw dies before touching disk; Fail dies
-    // between the temp write and the publish rename, leaving exactly
-    // the debris an interrupted writer would (gc() cleans it up).
-    const fault::Action write_fault = fault::at("cache.write");
-    if (write_fault == fault::Action::Throw)
-        throw ParseError("cannot write cache entry " + path +
-                         " (fault injected: cache.write)");
-    saveJsonFileDurable(tmp, doc);
-    if (write_fault == fault::Action::Fail)
-        throw ParseError("cannot publish cache entry " + path +
-                         " (fault injected: cache.write)");
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw ParseError("cannot publish cache entry " + path);
-    }
-    fsyncDir(dir_);
-    metrics::add("cache.stores");
-    recordUse(fs::path(path).filename().string());
-}
-
-std::optional<MappingStore::Entry>
-MappingCache::load(uint64_t content_hash, const std::string &kind)
-{
-    std::optional<CachedMapping> hit = lookup(content_hash, kind);
-    if (!hit)
-        return std::nullopt;
-    MappingStore::Entry entry;
-    entry.mapping = std::move(hit->mapping);
-    entry.tree = std::move(hit->tree);
-    entry.candidates = hit->candidates;
-    entry.tier = "disk";
-    return entry;
-}
-
-void
 MappingCache::save(uint64_t content_hash, const std::string &kind,
                    const MappingStore::Entry &entry)
 {
-    // The registry-facing cache is strictly advisory: the mapping was
-    // already computed, so a failed persist (full disk, injected
-    // cache.write fault) must not fail the build that produced it.
-    // Direct store() callers still see the ParseError.
+    // The cache is strictly advisory: the mapping was already computed,
+    // so a failed persist (full disk, injected cache.write fault) must
+    // not fail the build that produced it. Every failure below ends the
+    // save with no live entry; TieredMappingStore publishes to memory
+    // only after this returns.
+    trace::Span span("cache", "store");
     try {
-        store(content_hash, kind, entry.mapping,
-              entry.tree ? &*entry.tree : nullptr, entry.candidates);
+        std::error_code ec;
+        fs::create_directories(dir_, ec);
+        if (ec)
+            return;
+
+        JsonValue doc = JsonValue::object();
+        doc.add("format", "hatt-cache");
+        doc.add("version", kCacheVersion);
+        doc.add("content_hash", hashToHex(content_hash));
+        doc.add("kind", kind);
+        doc.add("mapping", mappingToJson(entry.mapping));
+        if (entry.tree)
+            doc.add("tree", treeToJson(*entry.tree));
+        if (entry.candidates)
+            doc.add("candidates", *entry.candidates);
+
+        // Serialize concurrent writers (advisory, best-effort on
+        // contention — see FileLock).
+        FileLock lock((fs::path(dir_) / kLockFile).string());
+
+        // Atomic, durable publish: write a writer-unique temp file in
+        // the same directory, fsync it, rename over the entry, fsync the
+        // directory — concurrent writers of the same key each publish a
+        // complete file, last rename wins, and a power cut can only
+        // leave the old entry or the new one, never a torn file under
+        // the live name.
+        static std::atomic<uint64_t> counter{0};
+        const std::string path = entryPath(content_hash, kind);
+        const std::string tmp = path + ".tmp." +
+                                std::to_string(::getpid()) + "." +
+                                std::to_string(counter.fetch_add(1));
+        // Injection point: Throw fails before touching disk; Fail
+        // stops between the temp write and the publish rename, leaving
+        // exactly the debris an interrupted writer would (gc() cleans
+        // it up).
+        const fault::Action write_fault = fault::at("cache.write");
+        if (write_fault == fault::Action::Throw)
+            return;
+        saveJsonFileDurable(tmp, doc);
+        if (write_fault == fault::Action::Fail)
+            return;
+        fs::rename(tmp, path, ec);
+        if (ec) {
+            fs::remove(tmp, ec);
+            return;
+        }
+        fsyncDir(dir_);
+        metrics::add("cache.stores");
+        recordUse(fs::path(path).filename().string());
     } catch (const std::exception &) {
     }
 }
@@ -476,7 +453,7 @@ MappingCache::scanEntries(const std::vector<CacheIndexEntry> &index) const
     std::map<std::string, int64_t> uses;
     {
         // Copy, then release: the scan does file I/O and must not block
-        // concurrent lookup()/store() usage recording.
+        // concurrent load()/save() usage recording.
         std::lock_guard<std::mutex> lock(uses_mutex_);
         uses = pending_uses_;
     }
@@ -567,7 +544,7 @@ MappingCache::flushIndex()
     std::error_code ec;
     if (!fs::is_directory(dir_, ec))
         return; // nothing stored yet; keep the usage log for later
-    // Snapshot-and-swap: a lookup()/store() racing this flush lands its
+    // Snapshot-and-swap: a load()/save() racing this flush lands its
     // usage record in the (now empty) log for the NEXT flush instead of
     // being silently discarded by a clear-after-write.
     std::map<std::string, int64_t> uses = takeUses();
@@ -614,7 +591,7 @@ MappingCache::gc(const CacheGcOptions &options)
 
     const int64_t now = options.now ? *options.now : wallClockNow();
 
-    // Purge quarantined entries: files lookup() moved aside are kept
+    // Purge quarantined entries: files load() moved aside are kept
     // for post-mortem only until the next gc pass.
     if (fs::is_directory(quarantinePath(), ec)) {
         for (const fs::directory_entry &de :

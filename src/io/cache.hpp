@@ -9,12 +9,12 @@
  * mapping kind string. `hattc` consults it to skip re-optimizing a
  * Hamiltonian it has already seen; batch/service callers share one
  * directory across threads and processes (files are written atomically
- * via rename, and lookup()/store() touch no shared mutable state beyond
+ * via rename, and load()/save() touch no shared mutable state beyond
  * a mutex-guarded usage log).
  *
  * Lifecycle: the directory scheme is O(1) lookup but unbounded growth,
  * so the cache also maintains <dir>/index.json — one record per entry
- * file with its size and last-used time. lookup() hits and store()s are
+ * file with its size and last-used time. load() hits and save()s are
  * logged in memory and folded into the index by flushIndex() (also run
  * by the destructor); gc() evicts by age and/or total size, oldest
  * last-used first, and rewrites the index to exactly the surviving
@@ -25,7 +25,7 @@
  * is fsync'd before the rename, and the directory after), writers take
  * an advisory flock on <dir>/.lock with bounded exponential backoff
  * (proceeding best-effort when contended — rename publication stays
- * atomic either way), and a corrupt entry discovered by lookup() is
+ * atomic either way), and a corrupt entry discovered by load() is
  * moved aside into <dir>/quarantine/ instead of being silently
  * re-read every run; quarantined files are counted in index.json and
  * purged by gc().
@@ -46,22 +46,12 @@
 
 namespace hatt::io {
 
-/** A cache hit: the stored mapping and, for tree mappings, its tree. */
-struct CachedMapping
-{
-    FermionQubitMapping mapping;
-    std::optional<TernaryTree> tree;
-    /** Construction candidates (HATT kinds), so cache hits report the
-        same determinism witness as the original build. */
-    std::optional<uint64_t> candidates;
-};
-
 /** One index.json record: an entry file with size and last-used time. */
 struct CacheIndexEntry
 {
     std::string file;    //!< entry file name (<hash>-<kind>.json)
     uint64_t size = 0;   //!< bytes on disk
-    int64_t lastUsed = 0; //!< unix seconds of the latest lookup/store
+    int64_t lastUsed = 0; //!< unix seconds of the latest load/save
 };
 
 /** Eviction policy for MappingCache::gc(). */
@@ -87,13 +77,12 @@ struct CacheGcStats
 
 /**
  * Implements hatt::MappingStore, so MapperRegistry::build() layers this
- * cache over any cacheable mapper (the load/save adapters below wrap
- * lookup/store).
+ * cache over any cacheable mapper.
  */
 class MappingCache : public MappingStore
 {
   public:
-    /** Creates @p dir (and parents) on first store if missing. */
+    /** Creates @p dir (and parents) on first save if missing. */
     explicit MappingCache(std::string dir);
 
     /** Folds any unflushed usage log into index.json (best effort). */
@@ -109,30 +98,22 @@ class MappingCache : public MappingStore
                           const std::string &kind) const;
 
     /**
-     * Look up (hash, kind); returns nullopt when absent. A present but
-     * truncated/corrupt entry is also a miss: the damaged file is moved
-     * into <dir>/quarantine/ (see wasQuarantined()), callers recompute,
-     * and the subsequent store() recreates the entry atomically, so one
-     * damaged entry cannot abort a batch run. A key-mismatched entry
-     * (hash collision) is a plain miss and is left in place. Hits are
-     * logged for the index's last-used tracking.
+     * Look up (hash, kind); returns nullopt when absent. A hit's tier is
+     * "disk". A present but truncated/corrupt entry is also a miss: the
+     * damaged file is moved into <dir>/quarantine/ (see
+     * wasQuarantined()), callers recompute, and the subsequent save()
+     * recreates the entry atomically, so one damaged entry cannot abort
+     * a batch run. A key-mismatched entry (hash collision) is a plain
+     * miss and is left in place. Hits are logged for the index's
+     * last-used tracking.
      */
-    std::optional<CachedMapping> lookup(uint64_t content_hash,
-                                        const std::string &kind) const;
-
-    /** Store (hash, kind) -> mapping [+ tree]; overwrites atomically. */
-    void store(uint64_t content_hash, const std::string &kind,
-               const FermionQubitMapping &mapping,
-               const TernaryTree *tree = nullptr,
-               std::optional<uint64_t> candidates = std::nullopt);
-
-    /** MappingStore adapter over lookup() — the registry's cache hook. */
     std::optional<MappingStore::Entry>
     load(uint64_t content_hash, const std::string &kind) override;
 
-    /** MappingStore adapter over store(). Best-effort: a persist
-        failure is swallowed — the cache is advisory, and the mapping
-        being saved was already computed successfully. */
+    /** Store (hash, kind) -> entry; overwrites atomically. Best effort:
+        a persist failure is swallowed and leaves no live entry — the
+        cache is advisory, and the mapping being saved was already
+        computed successfully. */
     void save(uint64_t content_hash, const std::string &kind,
               const MappingStore::Entry &entry) override;
 

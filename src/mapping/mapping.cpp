@@ -43,17 +43,4 @@ mappingFromTree(const TernaryTree &tree, std::string name)
     return map;
 }
 
-std::string
-mappingKindName(MappingKind kind)
-{
-    switch (kind) {
-      case MappingKind::JordanWigner: return "JW";
-      case MappingKind::BravyiKitaev: return "BK";
-      case MappingKind::BalancedTernaryTree: return "BTT";
-      case MappingKind::Hatt: return "HATT";
-      case MappingKind::HattUnoptimized: return "HATT-unopt";
-    }
-    return "?";
-}
-
 } // namespace hatt

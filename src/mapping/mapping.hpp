@@ -35,19 +35,6 @@ struct FermionQubitMapping
     std::vector<PauliTerm> creationOperator(uint32_t mode) const;
 };
 
-/** Identifier for the built-in mapping families. */
-enum class MappingKind
-{
-    JordanWigner,
-    BravyiKitaev,
-    BalancedTernaryTree,
-    Hatt,
-    HattUnoptimized,
-};
-
-/** Human-readable name used in benchmark tables. */
-std::string mappingKindName(MappingKind kind);
-
 /**
  * Derive the mapping of a complete ternary tree: Majorana i -> leaf-i
  * path string with unit coefficient, exactly as every tree-based

@@ -166,15 +166,6 @@ PauliString::fromLabel(const std::string &label)
     return s;
 }
 
-PauliString
-PauliString::fromOps(const std::vector<PauliOp> &ops)
-{
-    PauliString s(static_cast<uint32_t>(ops.size()));
-    for (uint32_t q = 0; q < ops.size(); ++q)
-        s.setOp(q, ops[q]);
-    return s;
-}
-
 PauliOp
 PauliString::op(uint32_t qubit) const
 {

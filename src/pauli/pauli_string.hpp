@@ -81,9 +81,6 @@ class PauliString
      */
     static PauliString fromLabel(const std::string &label);
 
-    /** Build from per-qubit ops, ops[q] acting on qubit q. */
-    static PauliString fromOps(const std::vector<PauliOp> &ops);
-
     uint32_t numQubits() const { return num_qubits_; }
 
     PauliOp op(uint32_t qubit) const;

@@ -3,12 +3,21 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "mapping/verify.hpp"
+
 namespace hatt {
 
 PreparedState
 prepareOccupationState(const FermionQubitMapping &map,
                        const std::vector<uint32_t> &occupied)
 {
+    // |0...0> stands in for the fermionic vacuum, which only holds when
+    // every a_j annihilates it; otherwise the "occupation state" below
+    // would be some other state with a plausible-looking energy.
+    if (!preservesVacuum(map))
+        throw std::invalid_argument(
+            "prepareOccupationState: mapping '" + map.name +
+            "' does not preserve the vacuum |0...0>");
     StateVector psi(map.numQubits);
     for (uint32_t mode : occupied) {
         std::vector<PauliTerm> adag = map.creationOperator(mode);

@@ -6,8 +6,9 @@
  * Initial-state preparation for quantum-simulation experiments: builds
  * the qubit image of a Fock occupation state |n> = prod a†_j |vac> under
  * a fermion-to-qubit mapping by applying the mapped creation operators
- * to |0...0>. For vacuum-preserving mappings the result is a single
- * computational basis state (up to phase).
+ * to |0...0>, which is the vacuum only for vacuum-preserving mappings;
+ * other mappings are refused. The result is a single computational
+ * basis state (up to phase).
  */
 
 #include "mapping/mapping.hpp"
@@ -25,8 +26,9 @@ struct PreparedState
 
 /**
  * Prepare the qubit state of the occupation given by @p occupied modes.
- * @throws std::invalid_argument if the state vanishes (e.g. repeated
- * modes) or the mapping is malformed.
+ * @throws std::invalid_argument if @p map does not preserve the vacuum
+ * (see preservesVacuum), or if the state vanishes (e.g. repeated modes)
+ * or the mapping is malformed.
  */
 PreparedState prepareOccupationState(const FermionQubitMapping &map,
                                      const std::vector<uint32_t> &occupied);

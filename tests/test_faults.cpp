@@ -76,16 +76,19 @@ slurp(const fs::path &path)
     return os.str();
 }
 
-/** A modes-only mapping to feed the cache tests. */
-MappingResult
-buildBtt(uint32_t modes)
+/** A modes-only mapping entry to feed the cache tests. */
+MappingStore::Entry
+bttEntry(uint32_t modes)
 {
     MappingRequest req;
     req.kind = "btt";
     req.numModes = modes;
     StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
     EXPECT_TRUE(built.ok()) << built.status().message();
-    return std::move(built).value();
+    MappingStore::Entry entry;
+    entry.mapping = std::move(built->mapping);
+    entry.tree = std::move(built->tree);
+    return entry;
 }
 
 /** Entry files (exactly "<hash>-<kind>.json") in a cache directory. */
@@ -168,42 +171,9 @@ TEST_F(FaultTest, ProbabilisticGateIsSeedDeterministic)
 TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)
 {
     fs::path dir = scratchDir("cachewrite");
-    MappingResult btt = buildBtt(4);
+    const MappingStore::Entry btt = bttEntry(4);
     {
         io::MappingCache cache((dir / "cache").string());
-
-        // Fail dies between the durable temp write and the publish
-        // rename: the entry never appears under its live name, the
-        // exception is the store's clean error path, and the debris is
-        // exactly what an interrupted writer leaves.
-        ASSERT_EQ(fault::configure("cache.write=fail"), "");
-        EXPECT_THROW(cache.store(0x1234, "btt", btt.mapping,
-                                 btt.tree ? &*btt.tree : nullptr),
-                     io::ParseError);
-        EXPECT_EQ(entryCount(dir / "cache"), 0u);
-        EXPECT_FALSE(cache.lookup(0x1234, "btt").has_value());
-        size_t debris = 0;
-        for (const fs::directory_entry &de :
-             fs::directory_iterator(dir / "cache"))
-            if (de.path().filename().string().find(".tmp.") !=
-                std::string::npos)
-                ++debris;
-        EXPECT_EQ(debris, 1u);
-
-        // Throw dies before touching disk at all.
-        ASSERT_EQ(fault::configure("cache.write=throw"), "");
-        EXPECT_THROW(cache.store(0x5678, "btt", btt.mapping), io::ParseError);
-        EXPECT_EQ(entryCount(dir / "cache"), 0u);
-
-        // Recovery: disarm, store, hit.
-        fault::disable();
-        cache.store(0x1234, "btt", btt.mapping,
-                    btt.tree ? &*btt.tree : nullptr);
-        EXPECT_TRUE(cache.lookup(0x1234, "btt").has_value());
-
-        // gc leaves fresh debris alone — it could belong to a live
-        // writer mid-publish — but sweeps it once it is an hour stale
-        // (pinned via the injectable clock).
         auto debrisCount = [&] {
             size_t n = 0;
             for (const fs::directory_entry &de :
@@ -213,6 +183,31 @@ TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)
                     ++n;
             return n;
         };
+
+        // Fail dies between the durable temp write and the publish
+        // rename: save() swallows it (the cache is advisory), the entry
+        // never appears under its live name, and the debris is exactly
+        // what an interrupted writer leaves.
+        ASSERT_EQ(fault::configure("cache.write=fail"), "");
+        cache.save(0x1234, "btt", btt);
+        EXPECT_EQ(entryCount(dir / "cache"), 0u);
+        EXPECT_FALSE(cache.load(0x1234, "btt").has_value());
+        EXPECT_EQ(debrisCount(), 1u);
+
+        // Throw fails before touching disk at all.
+        ASSERT_EQ(fault::configure("cache.write=throw"), "");
+        cache.save(0x5678, "btt", btt);
+        EXPECT_EQ(entryCount(dir / "cache"), 0u);
+        EXPECT_EQ(debrisCount(), 1u);
+
+        // Recovery: disarm, save, hit.
+        fault::disable();
+        cache.save(0x1234, "btt", btt);
+        EXPECT_TRUE(cache.load(0x1234, "btt").has_value());
+
+        // gc leaves fresh debris alone — it could belong to a live
+        // writer mid-publish — but sweeps it once it is an hour stale
+        // (pinned via the injectable clock).
         cache.gc({});
         EXPECT_EQ(debrisCount(), 1u);
         io::CacheGcOptions stale;
@@ -258,26 +253,24 @@ TEST_F(FaultTest, CacheReadThrowQuarantinesTheEntry)
 {
     fs::path dir = scratchDir("cacheread");
     const std::string cdir = (dir / "cache").string();
-    MappingResult btt = buildBtt(4);
+    const MappingStore::Entry btt = bttEntry(4);
     {
         io::MappingCache cache(cdir);
-        cache.store(0x9999, "btt", btt.mapping,
-                    btt.tree ? &*btt.tree : nullptr);
-        ASSERT_TRUE(cache.lookup(0x9999, "btt").has_value());
+        cache.save(0x9999, "btt", btt);
+        ASSERT_TRUE(cache.load(0x9999, "btt").has_value());
 
         // A read that comes back damaged is a miss, and the entry is
         // moved aside so the next run doesn't re-read the same damage.
         ASSERT_EQ(fault::configure("cache.read=throw@1"), "");
-        EXPECT_FALSE(cache.lookup(0x9999, "btt").has_value());
+        EXPECT_FALSE(cache.load(0x9999, "btt").has_value());
         EXPECT_TRUE(cache.wasQuarantined(0x9999, "btt"));
         EXPECT_FALSE(cache.wasQuarantined(0x9999, "jw"));
         EXPECT_EQ(cache.quarantinedCount(), 1u);
         EXPECT_EQ(entryCount(dir / "cache"), 0u);
 
-        // Past @1 the rule is spent: a fresh store round-trips.
-        cache.store(0x9999, "btt", btt.mapping,
-                    btt.tree ? &*btt.tree : nullptr);
-        EXPECT_TRUE(cache.lookup(0x9999, "btt").has_value());
+        // Past @1 the rule is spent: a fresh save round-trips.
+        cache.save(0x9999, "btt", btt);
+        EXPECT_TRUE(cache.load(0x9999, "btt").has_value());
 
         // index.json v2 carries the quarantine count.
         cache.flushIndex();
@@ -302,18 +295,17 @@ TEST_F(FaultTest, CacheReadFailIsAPlainMiss)
 {
     fs::path dir = scratchDir("cachereadfail");
     io::MappingCache cache((dir / "cache").string());
-    MappingResult btt = buildBtt(4);
-    cache.store(0x4242, "btt", btt.mapping,
-                btt.tree ? &*btt.tree : nullptr);
+    const MappingStore::Entry btt = bttEntry(4);
+    cache.save(0x4242, "btt", btt);
 
     // Fail models a transient read error: miss, entry left in place.
     ASSERT_EQ(fault::configure("cache.read=fail"), "");
-    EXPECT_FALSE(cache.lookup(0x4242, "btt").has_value());
+    EXPECT_FALSE(cache.load(0x4242, "btt").has_value());
     EXPECT_EQ(entryCount(dir / "cache"), 1u);
     EXPECT_EQ(cache.quarantinedCount(), 0u);
 
     fault::disable();
-    EXPECT_TRUE(cache.lookup(0x4242, "btt").has_value());
+    EXPECT_TRUE(cache.load(0x4242, "btt").has_value());
     fs::remove_all(dir);
 }
 
@@ -323,15 +315,14 @@ TEST_F(FaultTest, TrulyCorruptEntryIsQuarantinedWithoutInjection)
     // corruption takes: damage an entry on disk and watch it move.
     fs::path dir = scratchDir("corrupt");
     io::MappingCache cache((dir / "cache").string());
-    MappingResult btt = buildBtt(4);
-    cache.store(0x7777, "btt", btt.mapping,
-                btt.tree ? &*btt.tree : nullptr);
+    const MappingStore::Entry btt = bttEntry(4);
+    cache.save(0x7777, "btt", btt);
     const std::string entry = cache.entryPath(0x7777, "btt");
     {
         std::ofstream os(entry, std::ios::trunc);
         os << "{ torn write";
     }
-    EXPECT_FALSE(cache.lookup(0x7777, "btt").has_value());
+    EXPECT_FALSE(cache.load(0x7777, "btt").has_value());
     EXPECT_TRUE(cache.wasQuarantined(0x7777, "btt"));
     EXPECT_EQ(cache.quarantinedCount(), 1u);
     EXPECT_FALSE(fs::exists(entry));

@@ -1,6 +1,6 @@
 /**
  * @file
- * End-to-end tests of the `hattc` compiler driver (io/compiler): the
+ * End-to-end tests of the `hattc` compiler driver (io/driver): the
  * exact code path the CLI ships, run in-process. Pins the acceptance
  * round trip — `hattc compile examples/data/h2.ops --mapping hatt`
  * parses, maps and serializes, and reloading the serialized tree and

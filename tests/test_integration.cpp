@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "chem/molecule.hpp"
 #include "circuit/optimize.hpp"
@@ -20,6 +21,8 @@
 #include "mapping/bravyi_kitaev.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
+#include "mapping/mapper.hpp"
+#include "mapping/verify.hpp"
 #include "models/hubbard.hpp"
 #include "route/router.hpp"
 #include "sim/measure.hpp"
@@ -132,6 +135,17 @@ TEST(Integration, HartreeFockStateIsBasisStateForVacuumMappings)
         PreparedState prep = prepareOccupationState(map, occ);
         EXPECT_TRUE(prep.isBasisState) << name;
     }
+
+    // A mapping whose |0...0> is not the vacuum is refused, not turned
+    // into a wrong state: the FH* search stand-in is one.
+    MappingRequest req;
+    req.kind = "fh-stoch";
+    req.poly = &poly;
+    StatusOr<MappingResult> fh = MapperRegistry::instance().build(req);
+    ASSERT_TRUE(fh.ok()) << fh.status().message();
+    ASSERT_FALSE(preservesVacuum(fh->mapping));
+    EXPECT_THROW(prepareOccupationState(fh->mapping, occ),
+                 std::invalid_argument);
 }
 
 TEST(Integration, RoutedHattCircuitStillConservesEnergy)

@@ -934,18 +934,9 @@ TEST(Serialize, PauliSumRoundTripsBitExactly)
     EXPECT_EQ(sumHash(back), sumHash(hq));
 }
 
-TEST(Serialize, MajoranaRoundTripAndOrderIndependentHash)
+TEST(Serialize, MajoranaContentHashIsOrderIndependent)
 {
     MajoranaPolynomial poly = randomMajoranaPolynomial(5, 12, 7);
-    MajoranaPolynomial back = io::majoranaFromJson(
-        JsonValue::parse(io::majoranaToJson(poly).dump()));
-    ASSERT_EQ(back.size(), poly.size());
-    for (size_t i = 0; i < poly.size(); ++i) {
-        EXPECT_EQ(back.terms()[i].indices, poly.terms()[i].indices);
-        EXPECT_EQ(back.terms()[i].coeff, poly.terms()[i].coeff);
-    }
-    EXPECT_EQ(io::majoranaContentHash(back),
-              io::majoranaContentHash(poly));
 
     // Hash is invariant under term reordering but not under changes.
     MajoranaPolynomial shuffled(poly.numModes());
@@ -1023,26 +1014,20 @@ TEST(Serialize, RejectsMalformedDocuments)
                      std::exception);
     }
 
-    // Majorana: non-ascending indices must be rejected.
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[2,1]}]})")),
-        ParseError);
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[0,0]}]})")),
-        ParseError);
-    // ...and out-of-range indices.
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[4]}]})")),
-        ParseError);
 }
 
 // ----------------------------------------------------------------- cache
+
+/** A cache entry for @p mapping (and its tree, when given). */
+MappingStore::Entry
+cacheEntry(FermionQubitMapping mapping, const TernaryTree *tree = nullptr)
+{
+    MappingStore::Entry entry;
+    entry.mapping = std::move(mapping);
+    if (tree)
+        entry.tree = *tree;
+    return entry;
+}
 
 TEST(Cache, StoresAndRecoversMappingsByContentHash)
 {
@@ -1052,19 +1037,20 @@ TEST(Cache, StoresAndRecoversMappingsByContentHash)
     uint64_t hash = io::majoranaContentHash(poly);
     io::MappingCache cache(dir.string());
 
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     HattResult res = buildHattMapping(poly);
-    cache.store(hash, "hatt", res.mapping, &res.tree);
+    cache.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
 
-    auto hit = cache.lookup(hash, "hatt");
+    auto hit = cache.load(hash, "hatt");
     ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->tier, "disk");
     EXPECT_EQ(stringsHash(hit->mapping), stringsHash(res.mapping));
     ASSERT_TRUE(hit->tree.has_value());
     EXPECT_EQ(hit->tree->numNodes(), res.tree.numNodes());
 
-    EXPECT_FALSE(cache.lookup(hash ^ 1, "hatt").has_value());
-    EXPECT_FALSE(cache.lookup(hash, "jw").has_value());
+    EXPECT_FALSE(cache.load(hash ^ 1, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "jw").has_value());
     fs::remove_all(dir);
 }
 
@@ -1077,7 +1063,7 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
     io::MappingCache cache(dir.string());
 
     HattResult res = buildHattMapping(poly);
-    cache.store(hash, "hatt", res.mapping, &res.tree);
+    cache.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
     const std::string entry = cache.entryPath(hash, "hatt");
 
     // Truncate the entry mid-document, as an interrupted writer (or a
@@ -1087,11 +1073,11 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
         std::ofstream os(entry, std::ios::trunc);
         os << "{\"format\": \"hatt-cache\"";
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
-    // Recompute-and-store overwrites the damaged file; lookups hit again.
-    cache.store(hash, "hatt", res.mapping, &res.tree);
-    auto hit = cache.lookup(hash, "hatt");
+    // Recompute-and-save overwrites the damaged file; loads hit again.
+    cache.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
+    auto hit = cache.load(hash, "hatt");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(stringsHash(hit->mapping), stringsHash(res.mapping));
 
@@ -1107,14 +1093,14 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
         std::ofstream os(entry, std::ios::trunc);
         os << text;
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Garbage that parses as JSON but not as a mapping: miss, not crash.
     {
         std::ofstream os(entry, std::ios::trunc);
         os << "{\"format\": \"hatt-cache\", \"version\": 1}";
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
     fs::remove_all(dir);
 }
 
@@ -1127,8 +1113,8 @@ TEST(Cache, IndexTracksEntriesAndSurvivesDriftAndCorruption)
     io::MappingCache cache(dir.string());
     HattResult res = buildHattMapping(poly);
 
-    cache.store(hash, "hatt", res.mapping, &res.tree);
-    cache.store(hash, "jw", jordanWignerMapping(poly.numModes()));
+    cache.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
+    cache.save(hash, "jw", cacheEntry(jordanWignerMapping(poly.numModes())));
     cache.flushIndex();
 
     std::vector<io::CacheIndexEntry> index = cache.loadIndex();
@@ -1155,7 +1141,7 @@ TEST(Cache, IndexTracksEntriesAndSurvivesDriftAndCorruption)
         os << "{\"format\": \"hatt-cache-index\"";
     }
     EXPECT_TRUE(cache.loadIndex().empty());
-    EXPECT_TRUE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_TRUE(cache.load(hash, "hatt").has_value());
     cache.flushIndex();
     EXPECT_EQ(cache.loadIndex().size(), 1u);
     EXPECT_TRUE(cache.indexConsistent());
@@ -1174,9 +1160,9 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
         // fresh cache below sees only index/mtime state, as a separate
         // `hattc cache gc` process would.
         io::MappingCache writer(dir.string());
-        writer.store(hash, "hatt", res.mapping, &res.tree);
-        writer.store(hash, "jw", jordanWignerMapping(poly.numModes()));
-        writer.store(hash, "bk", bravyiKitaevMapping(poly.numModes()));
+        writer.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
+        writer.save(hash, "jw", cacheEntry(jordanWignerMapping(poly.numModes())));
+        writer.save(hash, "bk", cacheEntry(bravyiKitaevMapping(poly.numModes())));
     }
     fs::remove(dir / "index.json"); // last-used falls back to file mtime
 
@@ -1204,7 +1190,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     EXPECT_EQ(stats.evicted, 2u);
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "jw")));
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "bk")));
-    EXPECT_TRUE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_TRUE(cache.load(hash, "hatt").has_value());
     ASSERT_EQ(cache.loadIndex().size(), 1u);
     EXPECT_TRUE(cache.indexConsistent());
 
@@ -1217,7 +1203,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     EXPECT_EQ(stats.bytesAfter, 0u);
     EXPECT_TRUE(cache.loadIndex().empty());
     EXPECT_TRUE(cache.indexConsistent());
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Even evict-everything passes leave the bystander untouched.
     EXPECT_TRUE(fs::exists(bystander));
@@ -1248,19 +1234,19 @@ TEST(Cache, GcHonorsInjectedNowForAgePolicies)
     uint64_t hash = io::majoranaContentHash(poly);
     HattResult res = buildHattMapping(poly);
     io::MappingCache cache(dir.string());
-    cache.store(hash, "hatt", res.mapping, &res.tree);
+    cache.save(hash, "hatt", cacheEntry(res.mapping, &res.tree));
 
     // From one day in the future everything is stale; from now, nothing.
     io::CacheGcOptions not_yet;
     not_yet.maxAgeSeconds = 86400 * 7;
     EXPECT_EQ(cache.gc(not_yet).evicted, 0u);
-    ASSERT_TRUE(cache.lookup(hash, "hatt").has_value());
+    ASSERT_TRUE(cache.load(hash, "hatt").has_value());
 
     io::CacheGcOptions future;
     future.maxAgeSeconds = 3600;
     future.now = static_cast<int64_t>(std::time(nullptr)) + 86400;
     EXPECT_EQ(cache.gc(future).evicted, 1u);
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
     EXPECT_TRUE(cache.indexConsistent());
     fs::remove_all(dir);
 }

@@ -707,23 +707,14 @@ TEST(PerfParity, BatchMappingBitIdenticalAcrossThreadsAndToSerialSeed)
             EXPECT_EQ(sumHash(hq), c.hash)
                 << c.name << " threads=" << threads;
 
-            // The streaming entry point (one term at a time through the
-            // engine) must agree with the one-shot batch exactly.
-            QubitMappingEngine engine(map);
-            for (const MajoranaTerm &t : poly->terms())
-                engine.add(t);
-            EXPECT_EQ(sumHash(engine.finish()), c.hash)
-                << c.name << " threads=" << threads;
-
-            // Interleaving add() and addBatch() must preserve feed
-            // order: buffered terms flush before the batch maps.
-            QubitMappingEngine mixed(map);
+            // Feeding the engine in two batches must preserve feed
+            // order and agree with the one-shot batch exactly.
+            QubitMappingEngine split(map);
             const auto &terms = poly->terms();
-            const size_t head = terms.size() / 3;
-            for (size_t t = 0; t < head; ++t)
-                mixed.add(terms[t]);
-            mixed.addBatch(terms.data() + head, terms.size() - head);
-            EXPECT_EQ(sumHash(mixed.finish()), c.hash)
+            const auto mid = terms.begin() + terms.size() / 3;
+            split.addBatch({terms.begin(), mid});
+            split.addBatch({mid, terms.end()});
+            EXPECT_EQ(sumHash(split.finish()), c.hash)
                 << c.name << " threads=" << threads;
         }
         setParallelThreads(0);

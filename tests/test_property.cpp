@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <typeinfo>
 
@@ -32,6 +33,7 @@
 #include "mapping/bravyi_kitaev.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
+#include "mapping/mapper.hpp"
 #include "mapping/verify.hpp"
 #include "models/chains.hpp"
 #include "models/hubbard.hpp"
@@ -75,29 +77,20 @@ modelName(Model model)
     return "?";
 }
 
+/** Every kind goes through the one construction surface. */
 FermionQubitMapping
-buildKind(MappingKind kind, const MajoranaPolynomial &poly)
+buildKind(const std::string &kind, const MajoranaPolynomial &poly)
 {
-    switch (kind) {
-      case MappingKind::JordanWigner:
-        return jordanWignerMapping(poly.numModes());
-      case MappingKind::BravyiKitaev:
-        return bravyiKitaevMapping(poly.numModes());
-      case MappingKind::BalancedTernaryTree:
-        return balancedTernaryTreeMapping(poly.numModes());
-      case MappingKind::Hatt:
-        return buildHattMapping(poly).mapping;
-      case MappingKind::HattUnoptimized:
-      default: {
-        HattOptions opt;
-        opt.vacuumPairing = false;
-        opt.descCache = false;
-        return buildHattMapping(poly, opt).mapping;
-      }
-    }
+    MappingRequest req;
+    req.kind = kind;
+    req.poly = &poly;
+    StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
+    if (!built.ok())
+        throw std::runtime_error(built.status().message());
+    return std::move(built).value().mapping;
 }
 
-using Combo = std::tuple<MappingKind, Model>;
+using Combo = std::tuple<std::string, Model>;
 
 class MappingProperty : public ::testing::TestWithParam<Combo>
 {
@@ -117,8 +110,9 @@ TEST_P(MappingProperty, VacuumPreservationWherePromised)
     auto [kind, model] = GetParam();
     MajoranaPolynomial poly = buildModel(model);
     FermionQubitMapping map = buildKind(kind, poly);
-    if (kind != MappingKind::HattUnoptimized) {
-        EXPECT_TRUE(preservesVacuum(map)) << mappingKindName(kind);
+    if (MapperRegistry::instance().find(kind)->capabilities()
+            .vacuumPreserving) {
+        EXPECT_TRUE(preservesVacuum(map)) << kind;
     }
 }
 
@@ -161,17 +155,12 @@ TEST_P(MappingProperty, DistinctMonomialsStayDistinct)
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, MappingProperty,
     ::testing::Combine(
-        ::testing::Values(MappingKind::JordanWigner,
-                          MappingKind::BravyiKitaev,
-                          MappingKind::BalancedTernaryTree,
-                          MappingKind::Hatt,
-                          MappingKind::HattUnoptimized),
+        ::testing::Values("jw", "bk", "btt", "hatt", "hatt-unopt"),
         ::testing::Values(Model::Hubbard22, Model::Hubbard13,
                           Model::Neutrino22, Model::Random6,
                           Model::Random8)),
     [](const ::testing::TestParamInfo<Combo> &info) {
-        std::string name = mappingKindName(std::get<0>(info.param)) +
-                           std::string("_") +
+        std::string name = std::get<0>(info.param) + "_" +
                            modelName(std::get<1>(info.param));
         for (char &c : name)
             if (!std::isalnum(static_cast<unsigned char>(c)))
